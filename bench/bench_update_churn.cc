@@ -70,7 +70,7 @@ ChurnCell RunChurnCell(eval::TrainedPipeline& pipeline,
                        const std::vector<graph::GraphDelta>& deltas,
                        const std::vector<std::int32_t>& nodes,
                        double rate_per_sec, int threads) {
-  auto engine = eval::MakeSnapshotShardedEngine(pipeline, ds, num_shards);
+  auto engine = eval::MakeShardedEngine(pipeline, ds, num_shards);
   serve::ServingEngine server(*engine, policies, options);
 
   eval::ServingLoadConfig load;
@@ -181,11 +181,10 @@ int main(int argc, char** argv) {
   const auto base_snapshot = graph::MakeSnapshot(
       ds.data.graph, ds.data.features, pipeline.model_config.gamma);
   const auto merged = graph::MergeFromScratch(*base_snapshot, deltas);
-  core::StationaryState merged_stationary(merged->graph(), merged->features(),
-                                          pipeline.model_config.gamma);
-  core::NaiEngine reference(merged->graph(), merged->features(),
-                            pipeline.model_config.gamma, *pipeline.classifiers,
-                            &merged_stationary, pipeline.gates.get());
+  core::EngineOptions reference_options;
+  reference_options.gates = pipeline.gates.get();
+  core::NaiEngine reference = core::NaiEngine::FromSnapshot(
+      merged, *pipeline.classifiers, reference_options);
 
   // Verify list: every test node plus every node the churn inserted.
   std::vector<std::int32_t> verify_nodes = test;
@@ -205,7 +204,7 @@ int main(int argc, char** argv) {
               "epoch", "swaps", "mismatches", "verdict");
   for (const int shards : {1, 2, 4}) {
     for (const bool cache_on : {false, true}) {
-      auto engine = eval::MakeSnapshotShardedEngine(pipeline, ds, shards);
+      auto engine = eval::MakeShardedEngine(pipeline, ds, shards);
       serve::ServingOptions cell_options = options;
       cell_options.cache.enabled = cache_on;
       serve::ServingEngine server(*engine, policies, cell_options);

@@ -11,10 +11,13 @@
 #include "src/core/sharded_inference.h"
 #include "src/eval/datasets.h"
 #include "src/eval/harness.h"
+#include "src/graph/delta.h"
+#include "src/graph/normalize.h"
 #include "src/graph/shard.h"
 #include "src/io/checkpoint.h"
 #include "src/io/graph_io.h"
 #include "src/runtime/flags.h"
+#include "src/storage/mem_store.h"
 
 int main(int argc, char** argv) {
   using namespace nai;
@@ -78,17 +81,22 @@ int main(int argc, char** argv) {
     io::LoadGateStack(gt, restored_gates);
   }
 
-  core::NaiEngine original(ds.data.graph, ds.data.features,
-                           pipeline.model_config.gamma,
-                           *pipeline.classifiers,
-                           pipeline.full_stationary.get(),
-                           pipeline.gates.get());
-  core::NaiEngine restored(graph, features, pipeline.model_config.gamma,
-                           restored_cls, &restored_st, &restored_gates);
+  // The restored deployment serves the loaded files through an in-memory
+  // store that carries the checkpointed stationary vector.
+  const float gamma = pipeline.model_config.gamma;
+  auto store = std::make_shared<storage::MemStore>(
+      graph, features, gamma, graph::NormalizedAdjacency(graph, gamma),
+      restored_st.pooled());
+  const auto snapshot = graph::MakeSnapshotFromStore(store, store);
+  core::EngineOptions restored_options;
+  restored_options.gates = &restored_gates;
+  auto original = eval::MakeEngine(pipeline, ds);
+  core::NaiEngine restored =
+      core::NaiEngine::FromSnapshot(snapshot, restored_cls, restored_options);
 
   core::InferenceConfig icfg;
   icfg.nap = core::NapKind::kGate;
-  const auto a = original.Infer(ds.split.test_nodes, icfg);
+  const auto a = original->Infer(ds.split.test_nodes, icfg);
   const auto b = restored.Infer(ds.split.test_nodes, icfg);
   std::size_t agree = 0;
   for (std::size_t i = 0; i < a.predictions.size(); ++i) {
@@ -108,10 +116,10 @@ int main(int argc, char** argv) {
   std::size_t sharded_agree = a.predictions.size();
   if (num_shards > 1) {
     core::ShardedNaiEngine sharded(
-        graph, graph::MakeShards(graph, num_shards,
-                                 pipeline.model_config.depth),
-        features, pipeline.model_config.gamma, restored_cls, &restored_st,
-        &restored_gates);
+        snapshot,
+        graph::MakeShards(snapshot->adj(), num_shards,
+                          pipeline.model_config.depth),
+        restored_cls, &restored_gates);
     const auto c = sharded.Infer(ds.split.test_nodes, icfg);
     sharded_agree = 0;
     for (std::size_t i = 0; i < a.predictions.size(); ++i) {

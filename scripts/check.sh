@@ -50,6 +50,12 @@ stage_release() {
   cmake -B "${BUILD_DIR}-release" -S . -DCMAKE_BUILD_TYPE=Release
   cmake --build "${BUILD_DIR}-release" -j "${JOBS}"
   ctest --test-dir "${BUILD_DIR}-release" --output-on-failure -j "${JOBS}"
+  # The benchmark driver is a separate CMake project over the same library
+  # layers; building it here keeps a library change from breaking the
+  # benchmark unseen.
+  cmake -B "${BUILD_DIR}-perfbench" -S perfbench -DCMAKE_BUILD_TYPE=Release
+  cmake --build "${BUILD_DIR}-perfbench" -j "${JOBS}"
+  "${BUILD_DIR}-perfbench/perfbench_stats_test"
 }
 
 stage_asan() {

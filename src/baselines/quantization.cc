@@ -13,8 +13,9 @@ namespace nai::baselines {
 
 QuantizedInferResult QuantizedScalableInfer(
     const graph::Graph& full_graph, const tensor::Matrix& features,
-    float gamma, int depth, models::DepthHead& head, const QuantizedMlp& qmlp,
-    const std::vector<std::int32_t>& nodes, std::size_t batch_size) {
+    float gamma, int depth, models::DepthHead& head,
+    const nn::QuantizedMlp& qmlp, const std::vector<std::int32_t>& nodes,
+    std::size_t batch_size) {
   QuantizedInferResult out;
   out.predictions.resize(nodes.size());
 

@@ -12,15 +12,10 @@
 
 namespace nai::baselines {
 
-/// The INT8 arithmetic itself lives in nn::Quantized* since its promotion
-/// to the serving stack's kThroughputFirst QoS tier; the baseline keeps
-/// these aliases (and the offline end-to-end driver below) so the paper's
-/// FP32->INT8 comparison — only the classifier arithmetic changes, the
-/// propagation stays in float, which is why its acceleration is limited —
-/// reads unchanged.
-using QuantizedLinear = nn::QuantizedLinear;
-using QuantizedMlp = nn::QuantizedMlp;
-
+/// The paper's FP32->INT8 comparison: only the classifier arithmetic
+/// (nn::QuantizedMlp, shared with the serving stack's kThroughputFirst QoS
+/// tier) changes; the propagation stays in float, which is why its
+/// acceleration is limited.
 struct QuantizedInferResult {
   std::vector<std::int32_t> predictions;
   eval::CostCounters cost;
@@ -32,8 +27,9 @@ struct QuantizedInferResult {
 /// float; only its MLP is replaced by `qmlp`.
 QuantizedInferResult QuantizedScalableInfer(
     const graph::Graph& full_graph, const tensor::Matrix& features,
-    float gamma, int depth, models::DepthHead& head, const QuantizedMlp& qmlp,
-    const std::vector<std::int32_t>& nodes, std::size_t batch_size);
+    float gamma, int depth, models::DepthHead& head,
+    const nn::QuantizedMlp& qmlp, const std::vector<std::int32_t>& nodes,
+    std::size_t batch_size);
 
 }  // namespace nai::baselines
 

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "src/runtime/error.h"
-#include "src/storage/feature_adapters.h"
 #include "src/tensor/ops.h"
 
 namespace nai::core {
@@ -68,18 +67,9 @@ std::int64_t RowListNnz(graph::CsrView global,
   return nnz;
 }
 
-const graph::GraphSnapshot& RequireSnapshot(
-    const std::shared_ptr<const graph::GraphSnapshot>& snapshot) {
-  if (snapshot == nullptr) {
-    throw ValidationError("NaiEngine: null snapshot");
-  }
-  return *snapshot;
-}
-
 /// Stationary view over the snapshot's pooled vector, whatever backend the
 /// snapshot's stores have.
-std::unique_ptr<StationaryState> BuildStationary(
-    const graph::GraphSnapshot& snapshot) {
+StationaryState BuildStationary(const graph::GraphSnapshot& snapshot) {
   const tensor::Matrix* pooled = snapshot.feature_store->stationary_pooled();
   if (pooled == nullptr) {
     throw ValidationError(
@@ -87,8 +77,7 @@ std::unique_ptr<StationaryState> BuildStationary(
         "vector; pass EngineOptions{.use_stationary = false} for "
         "NapKind::kNone-only serving");
   }
-  return std::make_unique<StationaryState>(
-      StationaryState::FromPooled(snapshot.adj(), *pooled, snapshot.gamma));
+  return StationaryState::FromPooled(snapshot.adj(), *pooled, snapshot.gamma);
 }
 
 }  // namespace
@@ -124,95 +113,32 @@ void InferenceStats::Accumulate(const InferenceStats& other) {
 NaiEngine NaiEngine::FromSnapshot(
     std::shared_ptr<const graph::GraphSnapshot> snapshot,
     ClassifierStack& classifiers, EngineOptions options) {
-  NaiEngine engine(std::move(snapshot), classifiers, options.gates,
-                   options.use_stationary, options.ctx);
+  if (snapshot == nullptr) {
+    throw ValidationError("NaiEngine: null snapshot");
+  }
+  std::optional<StationaryState> stationary;
+  if (options.use_stationary) stationary = BuildStationary(*snapshot);
+  NaiEngine engine(snapshot->graph_store, snapshot->norm_adj(),
+                   snapshot->feature_store, classifiers, std::move(stationary),
+                   options.gates, options.ctx);
   engine.AttachQuantizedClassifiers(options.quantized);
   return engine;
 }
 
-NaiEngine::NaiEngine(const graph::Graph& full_graph,
-                     const tensor::Matrix& features, float gamma,
-                     ClassifierStack& classifiers,
-                     const StationaryState* stationary, const GateStack* gates,
-                     runtime::ExecContext ctx)
-    : owned_features_(
-          std::make_unique<storage::BorrowedFeatureStore>(&features)),
-      features_(owned_features_.get()),
-      classifiers_(&classifiers),
-      stationary_(stationary),
-      gates_(gates),
-      ctx_(ctx),
-      owned_norm_adj_(graph::NormalizedAdjacency(full_graph, gamma)),
-      norm_adj_(owned_norm_adj_.view()),
-      sampler_(norm_adj_) {}
-
-NaiEngine::NaiEngine(graph::Csr norm_adj, const tensor::Matrix& features,
-                     ClassifierStack& classifiers,
-                     const StationaryState* stationary, const GateStack* gates,
-                     runtime::ExecContext ctx)
-    : owned_features_(
-          std::make_unique<storage::BorrowedFeatureStore>(&features)),
-      features_(owned_features_.get()),
-      classifiers_(&classifiers),
-      stationary_(stationary),
-      gates_(gates),
-      ctx_(ctx),
-      owned_norm_adj_(std::move(norm_adj)),
-      norm_adj_(owned_norm_adj_.view()),
-      sampler_(norm_adj_) {}
-
-NaiEngine::NaiEngine(graph::Csr norm_adj,
+NaiEngine::NaiEngine(std::shared_ptr<const void> adjacency_owner,
+                     graph::CsrView norm_adj,
                      std::shared_ptr<const storage::FeatureStore> features,
                      ClassifierStack& classifiers,
-                     const StationaryState* stationary, const GateStack* gates,
-                     runtime::ExecContext ctx)
-    : shared_features_(std::move(features)),
-      features_(shared_features_.get()),
+                     std::optional<StationaryState> stationary,
+                     const GateStack* gates, runtime::ExecContext ctx)
+    : adjacency_owner_(std::move(adjacency_owner)),
+      norm_adj_(norm_adj),
+      features_(std::move(features)),
+      stationary_(std::move(stationary)),
       classifiers_(&classifiers),
-      stationary_(stationary),
       gates_(gates),
       ctx_(ctx),
-      owned_norm_adj_(std::move(norm_adj)),
-      norm_adj_(owned_norm_adj_.view()),
-      sampler_(norm_adj_) {
-  if (features_ == nullptr) {
-    throw ValidationError("NaiEngine: null feature store");
-  }
-}
-
-NaiEngine::NaiEngine(std::shared_ptr<const graph::GraphSnapshot> snapshot,
-                     ClassifierStack& classifiers, const GateStack* gates,
-                     bool use_stationary, runtime::ExecContext ctx)
-    : snapshot_((RequireSnapshot(snapshot), std::move(snapshot))),
-      owned_stationary_(use_stationary ? BuildStationary(*snapshot_)
-                                       : nullptr),
-      features_(snapshot_->feature_store.get()),
-      classifiers_(&classifiers),
-      stationary_(owned_stationary_.get()),
-      gates_(gates),
-      ctx_(ctx),
-      norm_adj_(snapshot_->norm_adj()),
       sampler_(norm_adj_) {}
-
-void NaiEngine::SwapSnapshot(
-    std::shared_ptr<const graph::GraphSnapshot> snapshot) {
-  if (snapshot_ == nullptr) {
-    throw ValidationError(
-        "NaiEngine::SwapSnapshot: engine was built on borrowed graph views, "
-        "not a snapshot handle");
-  }
-  if (snapshot == nullptr) {
-    throw ValidationError("NaiEngine::SwapSnapshot: null snapshot");
-  }
-  const bool use_stationary = owned_stationary_ != nullptr;
-  snapshot_ = std::move(snapshot);
-  owned_stationary_ =
-      use_stationary ? BuildStationary(*snapshot_) : nullptr;
-  stationary_ = owned_stationary_.get();
-  features_ = snapshot_->feature_store.get();
-  norm_adj_ = snapshot_->norm_adj();
-  sampler_ = graph::SupportSampler(norm_adj_);
-}
 
 InferenceResult NaiEngine::Infer(const std::vector<std::int32_t>& nodes,
                                  const InferenceConfig& config) {
@@ -226,10 +152,10 @@ InferenceResult NaiEngine::Infer(const std::vector<std::int32_t>& nodes,
         "QuantizedClassifierStack is attached");
   }
   if (config.nap == NapKind::kDistance) {
-    assert(stationary_ != nullptr && "NAPd requires a stationary state");
+    assert(stationary_.has_value() && "NAPd requires a stationary state");
   }
   if (config.nap == NapKind::kGate) {
-    assert(gates_ != nullptr && stationary_ != nullptr &&
+    assert(gates_ != nullptr && stationary_.has_value() &&
            "NAPg requires trained gates and a stationary state");
   }
 

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "src/core/classifier_stack.h"
@@ -10,12 +11,9 @@
 #include "src/core/nap_gate.h"
 #include "src/core/stationary.h"
 #include "src/graph/delta.h"
-#include "src/graph/graph.h"
-#include "src/graph/normalize.h"
 #include "src/graph/sampler.h"
 #include "src/runtime/exec_context.h"
 #include "src/storage/store.h"
-#include "src/tensor/matrix.h"
 
 namespace nai::core {
 
@@ -121,7 +119,7 @@ struct InferenceResult {
 };
 
 /// Everything optional about engine construction, gathered so the one
-/// blessed entry point (NaiEngine::FromSnapshot) stays a two-argument call
+/// entry point (NaiEngine::FromSnapshot) stays a two-argument call
 /// in the common case. Defaults serve NAPd/NAPnone float inference on the
 /// calling thread's default pool.
 struct EngineOptions {
@@ -137,13 +135,15 @@ struct EngineOptions {
 
 /// The NAI online-propagation inference engine (Algorithm 1).
 ///
-/// The blessed way to build one is `NaiEngine::FromSnapshot`: the engine
+/// The only public way to build one is `NaiEngine::FromSnapshot`: the engine
 /// holds the graph through a shared GraphSnapshot handle and reads
 /// adjacency and features through the storage interfaces
 /// (storage::GraphStore / storage::FeatureStore), so serving is identical —
 /// bit-exact — whether the snapshot is backed by in-memory pooled vectors
-/// or a memory-mapped file. The classifier bank, gates and quantized stack
-/// are borrowed and must outlive the engine.
+/// or a memory-mapped file. An engine serves one snapshot for its whole
+/// life; an evolving graph is served by ShardedNaiEngine::SwapSnapshot,
+/// which builds fresh engines. The classifier bank, gates and quantized
+/// stack are borrowed and must outlive the engine.
 ///
 /// Batches are processed independently: supporting nodes are sampled to
 /// T_max hops, features are propagated hop by hop over the induced
@@ -159,66 +159,14 @@ struct EngineOptions {
 /// order-independent for every thread count).
 class NaiEngine {
  public:
-  /// The consolidated construction entry point: serve the graph held by
-  /// `snapshot` (any storage backend) with the given classifier bank.
-  /// Everything else — gates, stationary view, INT8 bank, exec context —
-  /// rides in `options`. Throws nai::ValidationError on a null snapshot or
-  /// when `use_stationary` is set but the snapshot's store carries no
-  /// pooled stationary vector.
+  /// Serve the graph held by `snapshot` (any storage backend) with the
+  /// given classifier bank. Everything else — gates, stationary view, INT8
+  /// bank, exec context — rides in `options`. Throws nai::ValidationError
+  /// on a null snapshot or when `use_stationary` is set but the snapshot's
+  /// store carries no pooled stationary vector.
   static NaiEngine FromSnapshot(
       std::shared_ptr<const graph::GraphSnapshot> snapshot,
       ClassifierStack& classifiers, EngineOptions options = {});
-
-  /// Deprecated: prefer FromSnapshot (wrap the graph with
-  /// graph::MakeSnapshot). Borrows the graph and features; computes the
-  /// normalized adjacency at construction.
-  NaiEngine(const graph::Graph& full_graph, const tensor::Matrix& features,
-            float gamma, ClassifierStack& classifiers,
-            const StationaryState* stationary, const GateStack* gates,
-            runtime::ExecContext ctx = {});
-
-  /// Deprecated: prefer FromSnapshot. Takes the normalized adjacency
-  /// directly instead of computing it from a graph. This is how
-  /// ShardedNaiEngine builds its per-shard engines: the shard's adjacency
-  /// is a submatrix of the *full graph's* normalized adjacency, so edge
-  /// weights reflect global degrees (re-normalizing the induced subgraph
-  /// would distort halo-boundary weights and break bit-exactness with the
-  /// unsharded engine). `features` rows and `stationary` node ids are in
-  /// the adjacency's id space.
-  NaiEngine(graph::Csr norm_adj, const tensor::Matrix& features,
-            ClassifierStack& classifiers, const StationaryState* stationary,
-            const GateStack* gates, runtime::ExecContext ctx = {});
-
-  /// Store-fed variant of the adjacency constructor: feature rows come
-  /// through a FeatureStore the engine shares ownership of. This is the
-  /// sharded engine's per-shard path — a storage::SlicedFeatureStore over
-  /// the snapshot's (possibly memory-mapped) feature store, so shards never
-  /// gather private feature copies.
-  NaiEngine(graph::Csr norm_adj,
-            std::shared_ptr<const storage::FeatureStore> features,
-            ClassifierStack& classifiers, const StationaryState* stationary,
-            const GateStack* gates, runtime::ExecContext ctx = {});
-
-  /// Deprecated: prefer FromSnapshot (this is its implementation; the
-  /// positional flags predate EngineOptions).
-  NaiEngine(std::shared_ptr<const graph::GraphSnapshot> snapshot,
-            ClassifierStack& classifiers, const GateStack* gates,
-            bool use_stationary = true, runtime::ExecContext ctx = {});
-
-  /// Re-points a snapshot-backed engine at a newer snapshot: rebuilds the
-  /// stationary view and sampler against the new graph and releases the old
-  /// handle. Not thread-safe — the caller must ensure no Infer is in
-  /// flight (the sharded engine instead builds fresh per-shard engines and
-  /// swaps them atomically; this entry serves the unsharded API). Throws
-  /// nai::ValidationError on an engine built from borrowed views or on a
-  /// null snapshot.
-  void SwapSnapshot(std::shared_ptr<const graph::GraphSnapshot> snapshot);
-
-  /// The snapshot this engine serves from; nullptr for engines built on
-  /// borrowed graph views (the pre-snapshot constructors).
-  const std::shared_ptr<const graph::GraphSnapshot>& snapshot() const {
-    return snapshot_;
-  }
 
   /// Attaches (or detaches, with nullptr) the INT8 classifier bank that
   /// configs with `int8_classifier` resolve to. Borrowed; must outlive the
@@ -250,12 +198,29 @@ class NaiEngine {
   InferenceResult InferMixed(const std::vector<ConfiguredQuery>& queries);
 
   /// View of the normalized adjacency the engine propagates over (points
-  /// into the snapshot's store or the engine's owned copy).
+  /// into the snapshot's store or a shard engine's own submatrix).
   graph::CsrView norm_adj() const { return norm_adj_; }
 
   const runtime::ExecContext& exec_context() const { return ctx_; }
 
  private:
+  friend class ShardedNaiEngine;
+
+  /// `norm_adj` is kept alive by `adjacency_owner`; `features` rows and
+  /// `stationary` node ids are in its id space. FromSnapshot passes the
+  /// snapshot's stores. ShardedNaiEngine passes a shard's induced
+  /// submatrix of the *full graph's* normalized adjacency, so edge weights
+  /// reflect global degrees (re-normalizing the induced subgraph would
+  /// distort halo-boundary weights and break bit-exactness with the
+  /// unsharded engine), and a storage::SlicedFeatureStore over the
+  /// snapshot's feature store, so shards never gather private copies.
+  NaiEngine(std::shared_ptr<const void> adjacency_owner,
+            graph::CsrView norm_adj,
+            std::shared_ptr<const storage::FeatureStore> features,
+            ClassifierStack& classifiers,
+            std::optional<StationaryState> stationary, const GateStack* gates,
+            runtime::ExecContext ctx);
+
   void InferBatch(const std::vector<std::int32_t>& batch,
                   const InferenceConfig& config, int t_max,
                   graph::SupportSampler& sampler,
@@ -263,28 +228,16 @@ class NaiEngine {
                   std::vector<std::int32_t>& out_depths,
                   InferenceStats& stats);
 
-  /// Set when snapshot-backed: the handle that keeps every borrowed view
-  /// below alive; null for the borrowed-view constructors.
-  std::shared_ptr<const graph::GraphSnapshot> snapshot_;
-  /// The stationary view a snapshot-backed engine derives from the
-  /// snapshot's pooled vector (null otherwise; `stationary_` points here).
-  std::unique_ptr<StationaryState> owned_stationary_;
-  /// Feature access always goes through a FeatureStore. Exactly one of:
-  /// the snapshot's store (kept alive by snapshot_), a shared store
-  /// (shared_features_), or an owned adapter over a borrowed matrix
-  /// (owned_features_, for the deprecated matrix constructors).
-  std::shared_ptr<const storage::FeatureStore> shared_features_;
-  std::unique_ptr<const storage::FeatureStore> owned_features_;
-  const storage::FeatureStore* features_;
+  /// What norm_adj_ (and the stationary view's degrees) point into.
+  std::shared_ptr<const void> adjacency_owner_;
+  graph::CsrView norm_adj_;
+  std::shared_ptr<const storage::FeatureStore> features_;
+  /// X^(∞) rows for NAP decisions; empty for NapKind::kNone-only serving.
+  std::optional<StationaryState> stationary_;
   ClassifierStack* classifiers_;
   QuantizedClassifierStack* quantized_ = nullptr;
-  const StationaryState* stationary_;
   const GateStack* gates_;
   runtime::ExecContext ctx_;
-  /// Owned storage for the borrowed-view constructors; snapshot-backed
-  /// engines leave it empty and point norm_adj_ into the snapshot's store.
-  graph::Csr owned_norm_adj_;
-  graph::CsrView norm_adj_;
   graph::SupportSampler sampler_;
 };
 

@@ -7,7 +7,6 @@
 #include <string>
 #include <utility>
 
-#include "src/graph/normalize.h"
 #include "src/runtime/error.h"
 #include "src/storage/feature_adapters.h"
 
@@ -71,44 +70,26 @@ bool IsIdentityShard(const graph::GraphShard& shard) {
 std::shared_ptr<const ShardedNaiEngine::ShardState>
 ShardedNaiEngine::BuildState(
     std::shared_ptr<const graph::GraphSnapshot> snapshot,
-    graph::ShardedGraph sharded,
-    std::shared_ptr<const storage::FeatureStore> features,
-    graph::CsrView global_norm, const tensor::Matrix* pooled) {
+    graph::ShardedGraph sharded) {
   auto state = std::make_shared<ShardState>();
   state->snapshot = std::move(snapshot);
-  state->version = state->snapshot != nullptr ? state->snapshot->version : 0;
+  state->version = state->snapshot->version;
   state->sharded = std::move(sharded);
-  state->base_features = std::move(features);
+  state->base_features = state->snapshot->feature_store;
+  const graph::CsrView global_norm = state->snapshot->norm_adj();
+  const tensor::Matrix* pooled =
+      use_stationary_ ? state->base_features->stationary_pooled() : nullptr;
   const std::size_t num_shards = state->sharded.num_shards();
 
   state->halo_depth.reserve(num_shards);
   state->shard_features.reserve(num_shards);
-  state->shard_stationary.reserve(num_shards);
   state->engines.reserve(num_shards);
-  for (const graph::GraphShard& shard : state->sharded.shards) {
-    state->halo_depth.push_back(HaloDepths(shard));
-    if (shard.num_owned() == 0 || IsIdentityShard(shard)) {
-      // Empty shards get no views; identity shards serve straight from the
-      // snapshot's stores and need no per-shard slice or stationary view.
-      state->shard_features.push_back(nullptr);
-      state->shard_stationary.push_back(nullptr);
-      continue;
-    }
-    state->shard_features.push_back(
-        std::make_shared<storage::SlicedFeatureStore>(state->base_features,
-                                                      shard.nodes));
-    // Shard-local stationary view: same pooled vector, degrees from the
-    // shard graph. Owned nodes (the only ones ever queried) keep their full
-    // neighbor list whenever halo_hops >= 1, so their rows are identical to
-    // the full-graph state.
-    state->shard_stationary.push_back(
-        pooled == nullptr
-            ? nullptr
-            : std::make_unique<StationaryState>(StationaryState::FromPooled(
-                  shard.graph, *pooled, gamma_)));
-  }
   for (std::size_t s = 0; s < num_shards; ++s) {
     const graph::GraphShard& shard = state->sharded.shards[s];
+    state->halo_depth.push_back(HaloDepths(shard));
+    // Empty shards get no views; identity shards serve straight from the
+    // snapshot's stores and need no per-shard slice.
+    state->shard_features.push_back(nullptr);
     if (shard.num_owned() == 0) {
       state->engines.push_back(nullptr);
       continue;
@@ -120,70 +101,44 @@ ShardedNaiEngine::BuildState(
     }
     runtime::ExecContext ctx;
     ctx.pool = pools_[s].get();
+    std::unique_ptr<NaiEngine> engine;
     if (IsIdentityShard(shard)) {
-      // Global and local ids coincide, so the snapshot-backed engine serves
+      // Global and local ids coincide, so a FromSnapshot engine serves
       // the shard's routed queries directly, reading adjacency and features
       // through the snapshot's (possibly memory-mapped) stores.
-      state->engines.push_back(std::make_unique<NaiEngine>(
-          state->snapshot, *classifiers_, gates_, pooled != nullptr, ctx));
+      EngineOptions options;
+      options.gates = gates_;
+      options.use_stationary = pooled != nullptr;
+      options.ctx = ctx;
+      engine = std::make_unique<NaiEngine>(
+          NaiEngine::FromSnapshot(state->snapshot, *classifiers_, options));
     } else {
-      state->engines.push_back(std::make_unique<NaiEngine>(
+      state->shard_features.back() =
+          std::make_shared<storage::SlicedFeatureStore>(state->base_features,
+                                                        shard.nodes);
+      // Shard-local stationary view: same pooled vector, degrees from the
+      // shard graph. Owned nodes (the only ones ever queried) keep their
+      // full neighbor list whenever halo_hops >= 1, so their rows are
+      // identical to the full-graph state.
+      std::optional<StationaryState> stationary;
+      if (pooled != nullptr) {
+        stationary = StationaryState::FromPooled(shard.graph, *pooled,
+                                                 state->snapshot->gamma);
+      }
+      auto norm_adj = std::make_shared<const graph::Csr>(
           graph::InducedSubmatrix(global_norm, shard.nodes,
-                                  shard.global_to_local),
-          state->shard_features[s], *classifiers_,
-          state->shard_stationary[s].get(), gates_, ctx));
+                                  shard.global_to_local));
+      engine.reset(new NaiEngine(norm_adj, norm_adj->view(),
+                                 state->shard_features.back(), *classifiers_,
+                                 std::move(stationary), gates_, ctx));
     }
     // Carry the INT8 classifier bank across swaps: the quantized stack is
     // full-graph-scoped (it holds no propagated state), so successive
     // states' engines all share the one attachment.
-    state->engines.back()->AttachQuantizedClassifiers(quantized_);
+    engine->AttachQuantizedClassifiers(quantized_);
+    state->engines.push_back(std::move(engine));
   }
   return state;
-}
-
-ShardedNaiEngine::ShardedNaiEngine(const graph::Graph& full_graph,
-                                   graph::ShardedGraph sharded,
-                                   const tensor::Matrix& features, float gamma,
-                                   ClassifierStack& classifiers,
-                                   const StationaryState* stationary,
-                                   const GateStack* gates, int total_threads)
-    : classifiers_(&classifiers),
-      gates_(gates),
-      gamma_(gamma),
-      use_stationary_(stationary != nullptr),
-      num_shards_(sharded.num_shards()),
-      halo_hops_(sharded.halo_hops) {
-  if (num_shards_ == 0) {
-    throw ValidationError("ShardedNaiEngine: no shards");
-  }
-  if (static_cast<std::int64_t>(sharded.owner.size()) !=
-      full_graph.num_nodes()) {
-    throw ValidationError(
-        "ShardedNaiEngine: sharding covers " +
-        std::to_string(sharded.owner.size()) + " nodes but the graph has " +
-        std::to_string(full_graph.num_nodes()));
-  }
-
-  // Custom owner vectors may leave shards empty; those can never receive a
-  // query, so they get no pool, engine, or thread slice.
-  int active_shards = 0;
-  for (const graph::GraphShard& shard : sharded.shards) {
-    if (shard.num_owned() > 0) ++active_shards;
-  }
-  const int total = total_threads > 0
-                        ? total_threads
-                        : runtime::ThreadPool::Default().num_threads();
-  threads_per_shard_ = std::max(1, total / std::max(1, active_shards));
-  pools_.resize(num_shards_);
-
-  // Shard adjacencies are cut from the full graph's normalized adjacency so
-  // halo-boundary edges keep their global-degree weights.
-  const graph::Csr global_norm = graph::NormalizedAdjacency(full_graph, gamma);
-  state_ = BuildState(
-      nullptr, std::move(sharded),
-      std::make_shared<storage::BorrowedFeatureStore>(&features),
-      global_norm.view(),
-      stationary != nullptr ? &stationary->pooled() : nullptr);
 }
 
 ShardedNaiEngine::ShardedNaiEngine(
@@ -192,7 +147,6 @@ ShardedNaiEngine::ShardedNaiEngine(
     const GateStack* gates, bool use_stationary, int total_threads)
     : classifiers_(&classifiers),
       gates_(gates),
-      gamma_(snapshot != nullptr ? snapshot->gamma : 0.5f),
       use_stationary_(use_stationary),
       num_shards_(sharded.num_shards()),
       halo_hops_(sharded.halo_hops) {
@@ -211,6 +165,8 @@ ShardedNaiEngine::ShardedNaiEngine(
         std::to_string(snapshot->num_nodes()));
   }
 
+  // Custom owner vectors may leave shards empty; those can never receive a
+  // query, so they get no pool, engine, or thread slice.
   int active_shards = 0;
   for (const graph::GraphShard& shard : sharded.shards) {
     if (shard.num_owned() > 0) ++active_shards;
@@ -220,11 +176,7 @@ ShardedNaiEngine::ShardedNaiEngine(
                         : runtime::ThreadPool::Default().num_threads();
   threads_per_shard_ = std::max(1, total / std::max(1, active_shards));
   pools_.resize(num_shards_);
-
-  const graph::GraphSnapshot& snap = *snapshot;
-  state_ = BuildState(
-      snapshot, std::move(sharded), snap.feature_store, snap.norm_adj(),
-      use_stationary_ ? snap.feature_store->stationary_pooled() : nullptr);
+  state_ = BuildState(std::move(snapshot), std::move(sharded));
 }
 
 std::shared_ptr<const ShardedNaiEngine::ShardState>
@@ -245,11 +197,6 @@ void ShardedNaiEngine::SwapSnapshot(
   }
   std::lock_guard<std::mutex> swap_lock(swap_mu_);
   const std::shared_ptr<const ShardState> old = PinState();
-  if (old->snapshot == nullptr) {
-    throw ValidationError(
-        "ShardedNaiEngine::SwapSnapshot: engine was built on borrowed graph "
-        "views, not a snapshot handle");
-  }
   const std::int64_t n_old = static_cast<std::int64_t>(old->sharded.owner.size());
   const std::int64_t n_new = snapshot->num_nodes();
   if (n_new < n_old) {
@@ -304,10 +251,8 @@ void ShardedNaiEngine::SwapSnapshot(
         "supported across swaps");
   }
 
-  const graph::GraphSnapshot& snap = *snapshot;
-  std::shared_ptr<const ShardState> next = BuildState(
-      snapshot, std::move(sharded), snap.feature_store, snap.norm_adj(),
-      use_stationary_ ? snap.feature_store->stationary_pooled() : nullptr);
+  std::shared_ptr<const ShardState> next =
+      BuildState(std::move(snapshot), std::move(sharded));
 
   std::lock_guard<std::mutex> state_lock(state_mu_);
   state_ = std::move(next);

@@ -31,7 +31,7 @@ namespace nai::core {
 ///     halo_hops >= 1).
 ///
 /// Shard feature access goes through storage::SlicedFeatureStore over the
-/// state's base feature store, so shards never gather private feature
+/// snapshot's feature store, so shards never gather private feature
 /// copies — over an mmap-backed snapshot the whole sharded engine's feature
 /// working set is pages of the one shared file. The degenerate
 /// graph::IdentityShards partition short-circuits further: its single shard
@@ -56,11 +56,10 @@ namespace nai::core {
 /// Evolving graphs: everything derived from one graph version — the
 /// sharding, halo depths, per-shard feature/stationary views and the shard
 /// engines themselves — lives in one immutable ShardState behind a
-/// shared_ptr. A snapshot-backed engine (snapshot constructor) accepts
-/// SwapSnapshot(new_snapshot): the replacement state is built off the
-/// serving path and published atomically, so readers that pinned the old
-/// state finish their batch on the graph version they started with while
-/// new batches see the new one. Serving never pauses; the old state is
+/// shared_ptr. SwapSnapshot(new_snapshot) builds the replacement state off
+/// the serving path and publishes it atomically, so readers that pinned
+/// the old state finish their batch on the graph version they started with
+/// while new batches see the new one. Serving never pauses; the old state is
 /// reclaimed when its last pinned reader drops it. Thread pools persist
 /// across swaps (they carry no graph state).
 class ShardedNaiEngine {
@@ -70,11 +69,9 @@ class ShardedNaiEngine {
   /// once per call, and the serving front-end pins one state per batch so
   /// a batch's steal check and engine call agree on the version.
   struct ShardState {
-    /// The snapshot this state was built from; null for engines built on
-    /// borrowed graph views (the compatibility constructor).
+    /// The snapshot this state was built from.
     std::shared_ptr<const graph::GraphSnapshot> snapshot;
-    /// Graph version served by this state (snapshot->version, 0 for
-    /// borrowed-view engines).
+    /// Graph version served by this state (snapshot->version).
     std::uint64_t version = 0;
     graph::ShardedGraph sharded;
     /// halo_depth[s][local] = hop distance of shard s's local node from
@@ -82,54 +79,42 @@ class ShardedNaiEngine {
     /// steal-path eligibility data of CanServeFromShard, rebuilt with the
     /// state because a delta can change shard halos.
     std::vector<std::vector<std::int32_t>> halo_depth;
-    /// Full-graph feature store the shard slices read through: the
-    /// snapshot's store, or an adapter over the borrowed matrix.
+    /// Full-graph feature store the shard slices read through (the
+    /// snapshot's store).
     std::shared_ptr<const storage::FeatureStore> base_features;
-    /// Per-shard row-remapped views of base_features and per-shard
-    /// stationary views; referenced by the shard engines, so they live
-    /// here (declaration order matters).
+    /// Per-shard row-remapped views of base_features (null for empty and
+    /// identity shards), shared with the shard engines.
     std::vector<std::shared_ptr<const storage::FeatureStore>> shard_features;
-    std::vector<std::unique_ptr<StationaryState>> shard_stationary;
+    /// Declared after `sharded`: the shard engines' stationary views read
+    /// degrees from the shard graphs.
     std::vector<std::unique_ptr<NaiEngine>> engines;
   };
 
-  /// `full_graph` must be the graph `sharded` was built from; `features`,
-  /// `classifiers`, `stationary` and `gates` are full-graph-scoped, exactly
-  /// as for NaiEngine (this class derives per-shard views internally).
-  /// `total_threads` is divided evenly across shard pools (minimum one
-  /// thread each); <= 0 uses the default pool's size.
-  /// Throws nai::ValidationError when `sharded` does not match
-  /// `full_graph` or has no shards. Engines built this way serve a frozen
-  /// graph: SwapSnapshot throws on them.
-  ShardedNaiEngine(const graph::Graph& full_graph, graph::ShardedGraph sharded,
-                   const tensor::Matrix& features, float gamma,
-                   ClassifierStack& classifiers,
-                   const StationaryState* stationary, const GateStack* gates,
-                   int total_threads = 0);
-
-  /// Snapshot-backed variant: the graph, features, normalized adjacency and
-  /// pooled stationary vector all come from — and are kept alive by — the
-  /// snapshot handle (any storage backend), which is what makes
-  /// SwapSnapshot legal later. `sharded` must partition the snapshot's
-  /// graph (same halo discipline as above); `use_stationary` = false skips
-  /// the stationary views (NapKind::kNone-only serving). Results are
-  /// bit-identical to the borrowed-view constructor on the same graph.
+  /// Serves `snapshot` (any storage backend), which provides — and keeps
+  /// alive — the graph, features, normalized adjacency and pooled
+  /// stationary vector. `sharded` must partition the snapshot's graph;
+  /// `classifiers` and `gates` are full-graph-scoped, exactly as for
+  /// NaiEngine (this class derives per-shard views internally).
+  /// `use_stationary` = false skips the stationary views (NapKind::kNone-
+  /// only serving). `total_threads` is divided evenly across shard pools
+  /// (minimum one thread each); <= 0 uses the default pool's size. Throws
+  /// nai::ValidationError on a null snapshot, or when `sharded` does not
+  /// match the snapshot's graph or has no shards.
   ShardedNaiEngine(std::shared_ptr<const graph::GraphSnapshot> snapshot,
                    graph::ShardedGraph sharded, ClassifierStack& classifiers,
                    const GateStack* gates, bool use_stationary = true,
                    int total_threads = 0);
 
-  /// Atomically retargets a snapshot-backed engine at `snapshot` (which
-  /// must extend the current graph: node count can only grow, and existing
-  /// owners never move). New nodes are assigned to the shard owning the
+  /// Atomically retargets the engine at `snapshot` (which must extend the
+  /// current graph: node count can only grow, and existing owners never
+  /// move). New nodes are assigned to the shard owning the
   /// majority of their already-assigned neighbors (ties to the lowest
   /// shard id; isolated nodes round-robin by id), the halos, per-shard
   /// views and shard engines are rebuilt off the serving path, and the new
   /// state is published in one pointer swap. In-flight readers keep the
   /// state they pinned; there is no pause. Safe to call concurrently with
   /// Infer/InferMixed; concurrent SwapSnapshot calls serialize. Throws
-  /// nai::ValidationError for borrowed-view engines and on a null or
-  /// shrinking snapshot.
+  /// nai::ValidationError on a null or shrinking snapshot.
   void SwapSnapshot(std::shared_ptr<const graph::GraphSnapshot> snapshot);
 
   /// Pins the current state: the returned handle stays valid (and its
@@ -137,8 +122,7 @@ class ShardedNaiEngine {
   /// of concurrent swaps. The serving front-end pins one state per batch.
   std::shared_ptr<const ShardState> PinState() const;
 
-  /// The graph version currently being served (0 until the first swap for
-  /// borrowed-view engines).
+  /// The graph version currently being served.
   std::uint64_t version() const { return PinState()->version; }
 
   /// Classifies `nodes` (global ids). Thread-compatible but not
@@ -221,19 +205,15 @@ class ShardedNaiEngine {
   /// The current state by reference; kept alive by the engine's own handle
   /// until the next swap (callers needing longer pin it).
   const ShardState& CurrentState() const;
-  /// Builds a complete state for `sharded` over the given graph artifacts.
-  /// `snapshot` may be null (borrowed-view constructor). Creates any
+  /// Builds a complete state for `sharded` over `snapshot`. Creates any
   /// missing shard pools as a side effect.
   std::shared_ptr<const ShardState> BuildState(
       std::shared_ptr<const graph::GraphSnapshot> snapshot,
-      graph::ShardedGraph sharded,
-      std::shared_ptr<const storage::FeatureStore> features,
-      graph::CsrView global_norm, const tensor::Matrix* pooled);
+      graph::ShardedGraph sharded);
 
   ClassifierStack* classifiers_;
   QuantizedClassifierStack* quantized_ = nullptr;
   const GateStack* gates_;
-  float gamma_;
   bool use_stationary_;
   std::size_t num_shards_;
   int halo_hops_;

@@ -143,19 +143,6 @@ std::unique_ptr<core::ShardedNaiEngine> MakeShardedEngine(
     int halo_hops, int total_threads) {
   const int halo =
       halo_hops > 0 ? halo_hops : pipeline.model_config.depth;
-  auto engine = std::make_unique<core::ShardedNaiEngine>(
-      ds.data.graph, graph::MakeShards(ds.data.graph, num_shards, halo),
-      ds.data.features, pipeline.model_config.gamma, *pipeline.classifiers,
-      pipeline.full_stationary.get(), pipeline.gates.get(), total_threads);
-  engine->AttachQuantizedClassifiers(&pipeline.QuantizedClassifiers());
-  return engine;
-}
-
-std::unique_ptr<core::ShardedNaiEngine> MakeSnapshotShardedEngine(
-    TrainedPipeline& pipeline, const PreparedDataset& ds, int num_shards,
-    int halo_hops, int total_threads) {
-  const int halo =
-      halo_hops > 0 ? halo_hops : pipeline.model_config.depth;
   std::shared_ptr<const graph::GraphSnapshot> snapshot =
       MakeStoreSnapshot(pipeline, ds);
   graph::ShardedGraph sharded =
@@ -614,7 +601,7 @@ MethodResult RunQuantized(TrainedPipeline& pipeline, const PreparedDataset& ds,
                           std::size_t batch_size) {
   const int k = pipeline.model_config.depth;
   models::DepthHead& head = pipeline.classifiers->head(k);
-  const baselines::QuantizedMlp qmlp(head.classifier_mlp());
+  const nn::QuantizedMlp qmlp(head.classifier_mlp());
   baselines::QuantizedInferResult r = baselines::QuantizedScalableInfer(
       ds.data.graph, ds.data.features, pipeline.model_config.gamma, k, head,
       qmlp, nodes, batch_size);

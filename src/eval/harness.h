@@ -83,21 +83,16 @@ std::unique_ptr<core::NaiEngine> MakeEngine(
     TrainedPipeline& pipeline, const PreparedDataset& ds,
     const runtime::ExecContext& ctx = {});
 
-/// Builds the sharded serving engine (`--shards` flag path): partitions the
-/// full graph into `num_shards` balanced shards with a `halo_hops`-hop halo
-/// (0 = the pipeline's depth k, the deepest T_max the engine can serve) and
-/// gives each shard an equal slice of `total_threads` (<= 0 = default-pool
-/// size). Results are bit-identical to MakeEngine's (see
-/// core::ShardedNaiEngine).
+/// Builds the sharded serving engine (`--shards` flag path) over a
+/// MakeStoreSnapshot snapshot, so NAI_STORE / --store picks the storage
+/// backend and the engine (and a ServingEngine over it) accepts
+/// SwapSnapshot / ApplyDeltas. One shard serves through the identity
+/// partition; more partition the full graph into `num_shards` balanced
+/// shards with a `halo_hops`-hop halo (0 = the pipeline's depth k, the
+/// deepest T_max the engine can serve). Each shard gets an equal slice of
+/// `total_threads` (<= 0 = default-pool size). Results are bit-identical
+/// to MakeEngine's (see core::ShardedNaiEngine).
 std::unique_ptr<core::ShardedNaiEngine> MakeShardedEngine(
-    TrainedPipeline& pipeline, const PreparedDataset& ds, int num_shards,
-    int halo_hops = 0, int total_threads = 0);
-
-/// Snapshot-backed counterpart of MakeShardedEngine: wraps the dataset's
-/// full graph in a version-0 GraphSnapshot so the engine (and a
-/// ServingEngine over it) accepts SwapSnapshot / ApplyDeltas. Results are
-/// bit-identical to MakeShardedEngine's on the same graph.
-std::unique_ptr<core::ShardedNaiEngine> MakeSnapshotShardedEngine(
     TrainedPipeline& pipeline, const PreparedDataset& ds, int num_shards,
     int halo_hops = 0, int total_threads = 0);
 
@@ -200,8 +195,7 @@ struct ServingLoadConfig {
   /// to complete before the next is submitted, and any batches the load
   /// outlives are applied after the last response — so the engine always
   /// ends the run on base + all updates, which is what lets a bench compare
-  /// the final state against a from-scratch merge. Requires a
-  /// snapshot-backed engine when non-empty (see MakeSnapshotShardedEngine).
+  /// the final state against a from-scratch merge.
   std::vector<graph::GraphDelta> updates;
   double updates_per_sec = 0.0;
 };

@@ -584,12 +584,6 @@ void ServingEngine::BumpEpoch() {
 
 std::future<DeltaApplyReport> ServingEngine::ApplyDeltas(
     graph::GraphDelta delta) {
-  if (engine_->PinState()->snapshot == nullptr) {
-    throw std::logic_error(
-        "ServingEngine::ApplyDeltas: the wrapped engine is not "
-        "snapshot-backed (built from borrowed graph views); construct it "
-        "from a GraphSnapshot to serve an evolving graph");
-  }
   auto promise = std::make_shared<std::promise<DeltaApplyReport>>();
   std::future<DeltaApplyReport> future = promise->get_future();
   std::lock_guard<std::mutex> lock(ingest_mu_);
@@ -662,16 +656,14 @@ ServingStatsSnapshot ServingEngine::Stats() const {
     // stores are usually one object reporting disjoint byte ranges, so the
     // two residency calls sum without double counting.
     const auto state = engine_->PinState();
-    if (state->snapshot != nullptr) {
-      const graph::GraphSnapshot& served = *state->snapshot;
-      snap.store_backend = storage::BackendName(served.backend());
-      storage::ResidencyInfo residency =
-          served.graph_store->AdjacencyResidency();
-      residency += served.feature_store->FeatureResidency();
-      snap.store_mapped_bytes = residency.mapped_bytes;
-      snap.store_resident_bytes = residency.resident_bytes;
-      snap.store_residency_exact = residency.exact;
-    }
+    const graph::GraphSnapshot& served = *state->snapshot;
+    snap.store_backend = storage::BackendName(served.backend());
+    storage::ResidencyInfo residency =
+        served.graph_store->AdjacencyResidency();
+    residency += served.feature_store->FeatureResidency();
+    snap.store_mapped_bytes = residency.mapped_bytes;
+    snap.store_resident_bytes = residency.resident_bytes;
+    snap.store_residency_exact = residency.exact;
   }
   std::array<std::vector<double>, kNumQosClasses> windows;
   std::array<std::vector<double>, kNumQosClasses> hit_windows;

@@ -125,12 +125,12 @@ struct ServingStatsSnapshot {
   std::int64_t snapshot_swaps = 0;
   std::int64_t stale_served = 0;
 
-  /// Storage-backend view of the snapshot being served (empty string for
-  /// engines built on borrowed graph views). Mapped/resident bytes sum the
-  /// snapshot stores' adjacency and feature sections; for the mmap backend
-  /// resident_bytes is the mincore(2)-measured working set of the mapped
-  /// store file (`store_residency_exact` = true), for the mem backend it
-  /// equals mapped_bytes (everything is heap-resident, exact = false).
+  /// Storage-backend view of the snapshot being served. Mapped/resident
+  /// bytes sum the snapshot stores' adjacency and feature sections; for
+  /// the mmap backend resident_bytes is the mincore(2)-measured working
+  /// set of the mapped store file (`store_residency_exact` = true), for
+  /// the mem backend it equals mapped_bytes (everything is heap-resident,
+  /// exact = false).
   std::string store_backend;
   std::int64_t store_mapped_bytes = 0;
   std::int64_t store_resident_bytes = 0;
@@ -235,8 +235,7 @@ class ServingEngine {
   /// and bump are visible; it carries the new version and the builder's
   /// incremental accounting (or the builder's exception on an invalid
   /// delta, in which case the serving state is unchanged). Calls
-  /// serialize: a new call first waits out the previous apply. Throws
-  /// std::logic_error when the wrapped engine is not snapshot-backed.
+  /// serialize: a new call first waits out the previous apply.
   std::future<DeltaApplyReport> ApplyDeltas(graph::GraphDelta delta);
 
   /// Closes admission, serves everything already queued, joins the pump

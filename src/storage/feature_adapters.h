@@ -7,44 +7,8 @@
 #include <vector>
 
 #include "src/storage/store.h"
-#include "src/tensor/matrix.h"
 
 namespace nai::storage {
-
-/// Non-owning FeatureStore over a caller-owned dense matrix (and optional
-/// pooled stationary vector). Bridges the legacy borrowed-matrix engine
-/// constructors onto the store interface; the matrix must outlive the
-/// adapter.
-class BorrowedFeatureStore : public FeatureStore {
- public:
-  explicit BorrowedFeatureStore(const tensor::Matrix* features,
-                                const tensor::Matrix* pooled = nullptr)
-      : features_(features), pooled_(pooled) {}
-
-  std::int64_t num_rows() const override {
-    return static_cast<std::int64_t>(features_->rows());
-  }
-  std::size_t dim() const override { return features_->cols(); }
-  const float* row(std::int64_t v) const override { return features_->row(v); }
-  tensor::Matrix GatherRows(
-      const std::vector<std::int32_t>& ids) const override {
-    return features_->GatherRows(ids);
-  }
-  const tensor::Matrix* stationary_pooled() const override { return pooled_; }
-  StoreBackend backend() const override { return StoreBackend::kMem; }
-  ResidencyInfo FeatureResidency() const override {
-    ResidencyInfo info;
-    info.mapped_bytes = static_cast<std::int64_t>(
-        (features_->size() + (pooled_ != nullptr ? pooled_->size() : 0)) *
-        sizeof(float));
-    info.resident_bytes = info.mapped_bytes;
-    return info;
-  }
-
- private:
-  const tensor::Matrix* features_;
-  const tensor::Matrix* pooled_;
-};
 
 /// Row-remapping FeatureStore: local row r reads base row nodes[r]. This is
 /// how a shard serves its local feature rows without gathering a per-shard

@@ -16,7 +16,7 @@ using nai::testing::RandomMatrix;
 TEST(QuantizedLinearTest, ApproximatesFloatLayer) {
   tensor::Rng rng(1);
   nn::Linear layer(16, 8, rng);
-  const QuantizedLinear qlayer(layer);
+  const nn::QuantizedLinear qlayer(layer);
   const tensor::Matrix x = RandomMatrix(10, 16, 2);
   const tensor::Matrix fy = layer.Forward(x, false);
   const tensor::Matrix qy = qlayer.Forward(x);
@@ -33,7 +33,7 @@ TEST(QuantizedLinearTest, ApproximatesFloatLayer) {
 TEST(QuantizedLinearTest, MacsAndDims) {
   tensor::Rng rng(3);
   nn::Linear layer(5, 7, rng);
-  const QuantizedLinear q(layer);
+  const nn::QuantizedLinear q(layer);
   EXPECT_EQ(q.in_dim(), 5u);
   EXPECT_EQ(q.out_dim(), 7u);
   EXPECT_EQ(q.ForwardMacs(2), 2 * 5 * 7);
@@ -43,7 +43,7 @@ TEST(QuantizedLinearTest, MacsAndDims) {
 TEST(QuantizedMlpTest, AgreesWithFloatArgmaxMostly) {
   tensor::Rng rng(4);
   nn::Mlp mlp(12, {24}, 5, 0.0f, rng);
-  const QuantizedMlp q(mlp);
+  const nn::QuantizedMlp q(mlp);
   const tensor::Matrix x = RandomMatrix(200, 12, 5);
   const auto fpred = tensor::ArgmaxRows(mlp.Forward(x, false));
   const auto qpred = tensor::ArgmaxRows(q.Forward(x));
@@ -56,7 +56,7 @@ TEST(QuantizedMlpTest, AgreesWithFloatArgmaxMostly) {
 
 TEST(QuantizedInferTest, MatchesVanillaAccuracyClosely) {
   auto w = MakeSmallWorld(3, models::ModelKind::kSgc, 300);
-  const QuantizedMlp qmlp(w.classifiers->head(3).classifier_mlp());
+  const nn::QuantizedMlp qmlp(w.classifiers->head(3).classifier_mlp());
   const QuantizedInferResult r = QuantizedScalableInfer(
       w.data.graph, w.data.features, w.config.gamma, 3,
       w.classifiers->head(3), qmlp, w.all_nodes, 100);
@@ -77,7 +77,7 @@ TEST(QuantizedInferTest, MatchesVanillaAccuracyClosely) {
 TEST(QuantizedMlpTest, ForwardMacsSumOverLayers) {
   tensor::Rng rng(9);
   nn::Mlp mlp(10, {20, 30}, 4, 0.0f, rng);
-  const QuantizedMlp q(mlp);
+  const nn::QuantizedMlp q(mlp);
   // 10->20, 20->30, 30->4, per row.
   EXPECT_EQ(q.ForwardMacs(3), 3 * (10 * 20 + 20 * 30 + 30 * 4));
 }
@@ -88,7 +88,7 @@ TEST(QuantizedLinearTest, ZeroWeightsStayZero) {
   tensor::Rng rng(2);
   nn::Linear layer(4, 3, rng);
   layer.weight().value.Fill(0.0f);
-  const QuantizedLinear q(layer);
+  const nn::QuantizedLinear q(layer);
   const tensor::Matrix x = RandomMatrix(6, 4, 11);
   const tensor::Matrix y = q.Forward(x);
   for (std::size_t i = 0; i < y.rows(); ++i) {

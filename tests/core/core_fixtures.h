@@ -6,9 +6,13 @@
 
 #include "src/core/classifier_stack.h"
 #include "src/core/distillation.h"
+#include "src/core/inference.h"
+#include "src/core/sharded_inference.h"
 #include "src/core/stationary.h"
+#include "src/graph/delta.h"
 #include "src/graph/generators.h"
 #include "src/graph/normalize.h"
+#include "src/graph/shard.h"
 #include "src/models/scalable_gnn.h"
 
 namespace nai::testing {
@@ -75,6 +79,30 @@ inline SmallWorld MakeSmallWorld(int depth = 3,
   w.quantized =
       std::make_unique<core::QuantizedClassifierStack>(*w.classifiers);
   return w;
+}
+
+/// Version-0 in-memory snapshot of the world's graph and features.
+inline std::shared_ptr<const graph::GraphSnapshot> MakeTestSnapshot(
+    const SmallWorld& w) {
+  return graph::MakeSnapshot(w.data.graph, w.data.features, w.config.gamma);
+}
+
+/// Engine over MakeTestSnapshot(w) with the world's float classifier bank.
+inline core::NaiEngine MakeTestEngine(const SmallWorld& w,
+                                      core::EngineOptions options = {}) {
+  return core::NaiEngine::FromSnapshot(MakeTestSnapshot(w), *w.classifiers,
+                                       options);
+}
+
+/// Sharded engine over MakeTestSnapshot(w): `num_shards` balanced shards
+/// with a `halo_hops`-hop halo.
+inline core::ShardedNaiEngine MakeTestShardedEngine(
+    const SmallWorld& w, int num_shards, int halo_hops,
+    const core::GateStack* gates = nullptr, int total_threads = 0) {
+  return core::ShardedNaiEngine(
+      MakeTestSnapshot(w),
+      graph::MakeShards(w.data.graph, num_shards, halo_hops), *w.classifiers,
+      gates, /*use_stationary=*/true, total_threads);
 }
 
 }  // namespace nai::testing

@@ -14,6 +14,7 @@ namespace nai::core {
 namespace {
 
 using nai::testing::MakeSmallWorld;
+using nai::testing::MakeTestEngine;
 
 TEST(InferenceEdgeTest, IsolatedNodeIsClassified) {
   // A graph with an isolated node: its supporting set is just itself (the
@@ -30,8 +31,8 @@ TEST(InferenceEdgeTest, IsolatedNodeIsClassified) {
   cfg.hidden_dims = {4};
   cfg.dropout = 0.0f;
   ClassifierStack classifiers(cfg, 5);
-  StationaryState stationary(g, x, 0.5f);
-  NaiEngine engine(g, x, 0.5f, classifiers, &stationary, nullptr);
+  NaiEngine engine =
+      NaiEngine::FromSnapshot(graph::MakeSnapshot(g, x, 0.5f), classifiers);
 
   InferenceConfig icfg;
   icfg.nap = NapKind::kDistance;
@@ -46,8 +47,7 @@ TEST(InferenceEdgeTest, TMaxZeroMeansUseClassifierDepth) {
   // InferenceConfig documents t_max = 0 as "use k" (the classifier bank's
   // depth). An explicit t_max = k run must be indistinguishable.
   auto w = MakeSmallWorld(3);
-  NaiEngine engine(w.data.graph, w.data.features, w.config.gamma,
-                   *w.classifiers, w.stationary.get(), nullptr);
+  NaiEngine engine = MakeTestEngine(w);
   InferenceConfig zero;
   zero.nap = NapKind::kDistance;
   zero.relative_distance = true;
@@ -70,8 +70,7 @@ TEST(InferenceEdgeTest, BatchSizeLargerThanNodeCount) {
   // A batch size far beyond the query count must behave exactly like one
   // batch holding every node.
   auto w = MakeSmallWorld(3, models::ModelKind::kSgc, 150);
-  NaiEngine engine(w.data.graph, w.data.features, w.config.gamma,
-                   *w.classifiers, w.stationary.get(), nullptr);
+  NaiEngine engine = MakeTestEngine(w);
   InferenceConfig cfg;
   cfg.nap = NapKind::kDistance;
   cfg.threshold = 0.3f;
@@ -98,8 +97,8 @@ TEST(InferenceEdgeTest, EdgelessGraphClassifiesEveryNode) {
   cfg.hidden_dims = {4};
   cfg.dropout = 0.0f;
   ClassifierStack classifiers(cfg, 5);
-  StationaryState stationary(g, x, 0.5f);
-  NaiEngine engine(g, x, 0.5f, classifiers, &stationary, nullptr);
+  NaiEngine engine =
+      NaiEngine::FromSnapshot(graph::MakeSnapshot(g, x, 0.5f), classifiers);
 
   InferenceConfig icfg;
   icfg.nap = NapKind::kDistance;
@@ -117,8 +116,7 @@ TEST(InferenceEdgeTest, EdgelessGraphClassifiesEveryNode) {
 
 TEST(InferenceEdgeTest, EmptyNodeList) {
   auto w = MakeSmallWorld(2, models::ModelKind::kSgc, 100);
-  NaiEngine engine(w.data.graph, w.data.features, w.config.gamma,
-                   *w.classifiers, w.stationary.get(), nullptr);
+  NaiEngine engine = MakeTestEngine(w);
   InferenceConfig cfg;
   const auto r = engine.Infer({}, cfg);
   EXPECT_TRUE(r.predictions.empty());
@@ -130,8 +128,7 @@ TEST(InferenceEdgeTest, EmptyNodeListWithParallelBatches) {
   // zero batches and must not dispatch anything (degenerate-split serving
   // paths hit this when a tiny graph leaves the test set empty).
   auto w = MakeSmallWorld(2, models::ModelKind::kSgc, 100);
-  NaiEngine engine(w.data.graph, w.data.features, w.config.gamma,
-                   *w.classifiers, w.stationary.get(), nullptr);
+  NaiEngine engine = MakeTestEngine(w);
   InferenceConfig cfg;
   cfg.nap = NapKind::kDistance;
   cfg.inter_batch_parallelism = 4;
@@ -145,8 +142,7 @@ TEST(InferenceEdgeTest, EmptyNodeListWithParallelBatches) {
 
 TEST(InferenceEdgeTest, SingleNodeBatches) {
   auto w = MakeSmallWorld(3, models::ModelKind::kSgc, 150);
-  NaiEngine engine(w.data.graph, w.data.features, w.config.gamma,
-                   *w.classifiers, w.stationary.get(), nullptr);
+  NaiEngine engine = MakeTestEngine(w);
   InferenceConfig cfg;
   cfg.nap = NapKind::kDistance;
   cfg.threshold = 0.3f;
@@ -160,8 +156,7 @@ TEST(InferenceEdgeTest, SingleNodeBatches) {
 
 TEST(InferenceEdgeTest, RepeatedRunsDeterministic) {
   auto w = MakeSmallWorld(3);
-  NaiEngine engine(w.data.graph, w.data.features, w.config.gamma,
-                   *w.classifiers, w.stationary.get(), nullptr);
+  NaiEngine engine = MakeTestEngine(w);
   InferenceConfig cfg;
   cfg.nap = NapKind::kDistance;
   cfg.threshold = 0.4f;
@@ -180,8 +175,7 @@ class DepthWindow : public ::testing::TestWithParam<std::tuple<int, int>> {};
 TEST_P(DepthWindow, ExitsRespectWindow) {
   const auto [t_min, t_max] = GetParam();
   auto w = MakeSmallWorld(4);
-  NaiEngine engine(w.data.graph, w.data.features, w.config.gamma,
-                   *w.classifiers, w.stationary.get(), nullptr);
+  NaiEngine engine = MakeTestEngine(w);
   InferenceConfig cfg;
   cfg.nap = NapKind::kDistance;
   cfg.threshold = 0.5f;
@@ -213,8 +207,7 @@ INSTANTIATE_TEST_SUITE_P(
 // propagation.
 TEST(InferenceEdgeTest, PropagationMonotoneInDepth) {
   auto w = MakeSmallWorld(4);
-  NaiEngine engine(w.data.graph, w.data.features, w.config.gamma,
-                   *w.classifiers, w.stationary.get(), nullptr);
+  NaiEngine engine = MakeTestEngine(w);
   std::int64_t prev = 0;
   for (int t_max = 1; t_max <= 4; ++t_max) {
     InferenceConfig cfg;
@@ -229,8 +222,7 @@ TEST(InferenceEdgeTest, PropagationMonotoneInDepth) {
 // Threshold monotonicity: larger T_s never increases the average depth.
 TEST(InferenceEdgeTest, ThresholdMonotone) {
   auto w = MakeSmallWorld(4);
-  NaiEngine engine(w.data.graph, w.data.features, w.config.gamma,
-                   *w.classifiers, w.stationary.get(), nullptr);
+  NaiEngine engine = MakeTestEngine(w);
   double prev_depth = 1e9;
   for (const float ts : {0.01f, 0.2f, 0.5f, 1.0f, 10.0f}) {
     InferenceConfig cfg;
@@ -251,8 +243,7 @@ namespace {
 
 TEST(InferenceTraceTest, ExitDepthsConsistentWithHistogram) {
   auto w = nai::testing::MakeSmallWorld(4);
-  NaiEngine engine(w.data.graph, w.data.features, w.config.gamma,
-                   *w.classifiers, w.stationary.get(), nullptr);
+  NaiEngine engine = MakeTestEngine(w);
   InferenceConfig cfg;
   cfg.nap = NapKind::kDistance;
   cfg.relative_distance = true;
@@ -270,8 +261,7 @@ TEST(InferenceTraceTest, ExitDepthsConsistentWithHistogram) {
 
 TEST(InferenceTraceTest, FixedDepthTraceIsUniform) {
   auto w = nai::testing::MakeSmallWorld(3);
-  NaiEngine engine(w.data.graph, w.data.features, w.config.gamma,
-                   *w.classifiers, w.stationary.get(), nullptr);
+  NaiEngine engine = MakeTestEngine(w);
   InferenceConfig cfg;
   cfg.nap = NapKind::kNone;
   cfg.t_max = 2;
@@ -287,8 +277,7 @@ namespace {
 
 TEST(InferenceEdgeTest, DepthOnePipeline) {
   auto w = nai::testing::MakeSmallWorld(1, models::ModelKind::kSgc, 150);
-  NaiEngine engine(w.data.graph, w.data.features, w.config.gamma,
-                   *w.classifiers, w.stationary.get(), nullptr);
+  NaiEngine engine = MakeTestEngine(w);
   InferenceConfig cfg;
   cfg.nap = NapKind::kDistance;  // no decision hops exist at k = 1
   const auto r = engine.Infer(w.all_nodes, cfg);

@@ -16,6 +16,7 @@ namespace nai::core {
 namespace {
 
 using nai::testing::MakeSmallWorld;
+using nai::testing::MakeTestEngine;
 using nai::testing::SmallWorld;
 
 void ExpectSameResult(const InferenceResult& got, const InferenceResult& want,
@@ -35,8 +36,7 @@ void ExpectSameResult(const InferenceResult& got, const InferenceResult& want,
 /// query re-run under every thread count x batch-parallelism combination.
 void CheckDeterminism(SmallWorld& w, const GateStack* gates,
                       InferenceConfig cfg) {
-  NaiEngine engine(w.data.graph, w.data.features, w.config.gamma,
-                   *w.classifiers, w.stationary.get(), gates);
+  NaiEngine engine = MakeTestEngine(w, {.gates = gates});
   cfg.batch_size = 37;  // ~11 batches over the 400-node world
   cfg.inter_batch_parallelism = 1;
   runtime::ThreadPool::SetDefaultThreads(1);
@@ -98,8 +98,7 @@ TEST(InferenceParallelTest, AutoShardCountCoversAllNodes) {
   // inter_batch_parallelism = 0 = one shard per pool thread; with more
   // shards than batches the engine must clamp and still classify everything.
   auto w = MakeSmallWorld(2, models::ModelKind::kSgc, 120);
-  NaiEngine engine(w.data.graph, w.data.features, w.config.gamma,
-                   *w.classifiers, w.stationary.get(), nullptr);
+  NaiEngine engine = MakeTestEngine(w);
   runtime::ThreadPool::SetDefaultThreads(8);
   InferenceConfig cfg;
   cfg.nap = NapKind::kDistance;

@@ -22,6 +22,7 @@ namespace nai::core {
 namespace {
 
 using nai::testing::MakeSmallWorld;
+using nai::testing::MakeTestEngine;
 using nai::testing::SmallWorld;
 
 struct DispatchGuard {
@@ -46,8 +47,7 @@ void ExpectSameResult(const InferenceResult& got, const InferenceResult& want,
 TEST(InferenceSimdTest, InferBitExactAcrossLevelsAndThreads) {
   DispatchGuard guard;
   auto w = MakeSmallWorld(3);
-  NaiEngine engine(w.data.graph, w.data.features, w.config.gamma,
-                   *w.classifiers, w.stationary.get(), nullptr);
+  NaiEngine engine = MakeTestEngine(w);
   engine.AttachQuantizedClassifiers(w.quantized.get());
 
   for (const bool int8 : {false, true}) {
@@ -79,10 +79,8 @@ TEST(InferenceSimdTest, InferBitExactAcrossLevelsAndThreads) {
 TEST(InferenceSimdTest, ShardedInferMixedBitExactAcrossLevelsAndThreads) {
   DispatchGuard guard;
   auto w = MakeSmallWorld(3);
-  ShardedNaiEngine engine(
-      w.data.graph, graph::MakeShards(w.data.graph, 2, /*halo_hops=*/3),
-      w.data.features, w.config.gamma, *w.classifiers, w.stationary.get(),
-      nullptr);
+  ShardedNaiEngine engine =
+      nai::testing::MakeTestShardedEngine(w, 2, /*halo_hops=*/3);
   engine.AttachQuantizedClassifiers(w.quantized.get());
 
   // Three interleaved config groups — speed-ish float, full-depth float,
@@ -124,8 +122,7 @@ TEST(InferenceSimdTest, ShardedInferMixedBitExactAcrossLevelsAndThreads) {
 
 TEST(InferenceSimdTest, Int8ClassifierRequiresAttachedStack) {
   auto w = MakeSmallWorld(2);
-  NaiEngine engine(w.data.graph, w.data.features, w.config.gamma,
-                   *w.classifiers, w.stationary.get(), nullptr);
+  NaiEngine engine = MakeTestEngine(w);
   InferenceConfig cfg;
   cfg.int8_classifier = true;
   EXPECT_THROW(engine.Infer(w.all_nodes, cfg), std::invalid_argument);
@@ -139,8 +136,7 @@ TEST(InferenceSimdTest, Int8PredictionsWithinAccuracyDeltaOfFloat) {
   // small world, INT8 classification flips only a small fraction of
   // predictions relative to the same config served in float.
   auto w = MakeSmallWorld(3);
-  NaiEngine engine(w.data.graph, w.data.features, w.config.gamma,
-                   *w.classifiers, w.stationary.get(), nullptr);
+  NaiEngine engine = MakeTestEngine(w);
   engine.AttachQuantizedClassifiers(w.quantized.get());
   InferenceConfig cfg;
   cfg.nap = NapKind::kDistance;

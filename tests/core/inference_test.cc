@@ -11,6 +11,7 @@ namespace nai::core {
 namespace {
 
 using nai::testing::MakeSmallWorld;
+using nai::testing::MakeTestEngine;
 using nai::testing::SmallWorld;
 
 std::vector<std::int32_t> TransductivePredictions(SmallWorld& w, int depth) {
@@ -23,8 +24,7 @@ TEST(InferenceTest, VanillaMatchesTransductive) {
   // (transductive) propagation for every node: this validates the layered
   // supporting-set machinery end to end.
   auto w = MakeSmallWorld(3);
-  NaiEngine engine(w.data.graph, w.data.features, w.config.gamma,
-                   *w.classifiers, w.stationary.get(), nullptr);
+  NaiEngine engine = MakeTestEngine(w);
   InferenceConfig cfg;
   cfg.nap = NapKind::kNone;
   cfg.batch_size = 64;
@@ -37,8 +37,7 @@ TEST(InferenceTest, VanillaMatchesTransductiveAllFamilies) {
        {models::ModelKind::kSign, models::ModelKind::kS2gc,
         models::ModelKind::kGamlp}) {
     auto w = MakeSmallWorld(2, kind, 250);
-    NaiEngine engine(w.data.graph, w.data.features, w.config.gamma,
-                     *w.classifiers, w.stationary.get(), nullptr);
+    NaiEngine engine = MakeTestEngine(w);
     InferenceConfig cfg;
     cfg.nap = NapKind::kNone;
     cfg.batch_size = 50;
@@ -50,8 +49,7 @@ TEST(InferenceTest, VanillaMatchesTransductiveAllFamilies) {
 
 TEST(InferenceTest, BatchSizeDoesNotChangePredictions) {
   auto w = MakeSmallWorld(3);
-  NaiEngine engine(w.data.graph, w.data.features, w.config.gamma,
-                   *w.classifiers, w.stationary.get(), nullptr);
+  NaiEngine engine = MakeTestEngine(w);
   InferenceConfig cfg;
   cfg.nap = NapKind::kDistance;
   cfg.threshold = 0.3f;
@@ -64,8 +62,7 @@ TEST(InferenceTest, BatchSizeDoesNotChangePredictions) {
 
 TEST(InferenceTest, HugeThresholdExitsAtTmin) {
   auto w = MakeSmallWorld(4);
-  NaiEngine engine(w.data.graph, w.data.features, w.config.gamma,
-                   *w.classifiers, w.stationary.get(), nullptr);
+  NaiEngine engine = MakeTestEngine(w);
   InferenceConfig cfg;
   cfg.nap = NapKind::kDistance;
   cfg.threshold = 1e9f;
@@ -79,8 +76,7 @@ TEST(InferenceTest, HugeThresholdExitsAtTmin) {
 
 TEST(InferenceTest, ZeroThresholdGoesToTmax) {
   auto w = MakeSmallWorld(4);
-  NaiEngine engine(w.data.graph, w.data.features, w.config.gamma,
-                   *w.classifiers, w.stationary.get(), nullptr);
+  NaiEngine engine = MakeTestEngine(w);
   InferenceConfig cfg;
   cfg.nap = NapKind::kDistance;
   cfg.threshold = 0.0f;
@@ -94,8 +90,7 @@ TEST(InferenceTest, ZeroThresholdGoesToTmax) {
 
 TEST(InferenceTest, ExitsSumToNodeCount) {
   auto w = MakeSmallWorld(4);
-  NaiEngine engine(w.data.graph, w.data.features, w.config.gamma,
-                   *w.classifiers, w.stationary.get(), nullptr);
+  NaiEngine engine = MakeTestEngine(w);
   InferenceConfig cfg;
   cfg.nap = NapKind::kDistance;
   cfg.threshold = 0.5f;
@@ -109,8 +104,7 @@ TEST(InferenceTest, ExitsSumToNodeCount) {
 
 TEST(InferenceTest, ShrinkTogglePreservesPredictions) {
   auto w = MakeSmallWorld(4);
-  NaiEngine engine(w.data.graph, w.data.features, w.config.gamma,
-                   *w.classifiers, w.stationary.get(), nullptr);
+  NaiEngine engine = MakeTestEngine(w);
   InferenceConfig cfg;
   cfg.nap = NapKind::kDistance;
   cfg.threshold = 0.4f;
@@ -126,8 +120,7 @@ TEST(InferenceTest, ShrinkTogglePreservesPredictions) {
 
 TEST(InferenceTest, NapReducesPropagationWork) {
   auto w = MakeSmallWorld(4);
-  NaiEngine engine(w.data.graph, w.data.features, w.config.gamma,
-                   *w.classifiers, w.stationary.get(), nullptr);
+  NaiEngine engine = MakeTestEngine(w);
   InferenceConfig vanilla;
   vanilla.nap = NapKind::kNone;
   const auto base = engine.Infer(w.all_nodes, vanilla);
@@ -150,8 +143,7 @@ TEST(InferenceTest, GateBasedInferenceRuns) {
   gates.Train(w.stack, stationary, *w.classifiers, w.all_nodes,
               w.data.labels, gcfg);
 
-  NaiEngine engine(w.data.graph, w.data.features, w.config.gamma,
-                   *w.classifiers, w.stationary.get(), &gates);
+  NaiEngine engine = MakeTestEngine(w, {.gates = &gates});
   InferenceConfig cfg;
   cfg.nap = NapKind::kGate;
   const auto result = engine.Infer(w.all_nodes, cfg);
@@ -165,8 +157,7 @@ TEST(InferenceTest, GateBasedInferenceRuns) {
 
 TEST(InferenceTest, StatsCategoriesPopulated) {
   auto w = MakeSmallWorld(3);
-  NaiEngine engine(w.data.graph, w.data.features, w.config.gamma,
-                   *w.classifiers, w.stationary.get(), nullptr);
+  NaiEngine engine = MakeTestEngine(w);
   InferenceConfig cfg;
   cfg.nap = NapKind::kDistance;
   cfg.threshold = 0.3f;
@@ -184,8 +175,7 @@ TEST(InferenceTest, StatsCategoriesPopulated) {
 
 TEST(InferenceTest, SubsetOfNodesOnly) {
   auto w = MakeSmallWorld(3);
-  NaiEngine engine(w.data.graph, w.data.features, w.config.gamma,
-                   *w.classifiers, w.stationary.get(), nullptr);
+  NaiEngine engine = MakeTestEngine(w);
   const std::vector<std::int32_t> subset = {5, 17, 200, 399};
   InferenceConfig cfg;
   cfg.nap = NapKind::kNone;
@@ -199,8 +189,7 @@ TEST(InferenceTest, SubsetOfNodesOnly) {
 
 TEST(InferenceTest, TminOneTmaxOne) {
   auto w = MakeSmallWorld(3);
-  NaiEngine engine(w.data.graph, w.data.features, w.config.gamma,
-                   *w.classifiers, w.stationary.get(), nullptr);
+  NaiEngine engine = MakeTestEngine(w);
   InferenceConfig cfg;
   cfg.nap = NapKind::kDistance;
   cfg.t_max = 1;
@@ -216,8 +205,7 @@ TEST(InferenceTest, InferMixedMatchesPerConfigInferCalls) {
   // group's node list, scattered back into caller order, with the groups'
   // counters merged.
   auto w = MakeSmallWorld(3, models::ModelKind::kSgc, 200);
-  NaiEngine engine(w.data.graph, w.data.features, w.config.gamma,
-                   *w.classifiers, w.stationary.get(), nullptr);
+  NaiEngine engine = MakeTestEngine(w);
   InferenceConfig speed;
   speed.nap = NapKind::kDistance;
   speed.relative_distance = true;
@@ -261,8 +249,7 @@ TEST(InferenceTest, InferMixedMatchesPerConfigInferCalls) {
 
 TEST(InferenceTest, InferMixedSingleConfigEqualsInfer) {
   auto w = MakeSmallWorld(3, models::ModelKind::kSgc, 200);
-  NaiEngine engine(w.data.graph, w.data.features, w.config.gamma,
-                   *w.classifiers, w.stationary.get(), nullptr);
+  NaiEngine engine = MakeTestEngine(w);
   InferenceConfig cfg;
   cfg.nap = NapKind::kDistance;
   cfg.threshold = 0.4f;
@@ -278,8 +265,7 @@ TEST(InferenceTest, InferMixedSingleConfigEqualsInfer) {
 
 TEST(InferenceTest, InferMixedNullConfigThrows) {
   auto w = MakeSmallWorld(2, models::ModelKind::kSgc, 120);
-  NaiEngine engine(w.data.graph, w.data.features, w.config.gamma,
-                   *w.classifiers, w.stationary.get(), nullptr);
+  NaiEngine engine = MakeTestEngine(w);
   EXPECT_THROW(engine.InferMixed({{0, nullptr}}), std::invalid_argument);
 }
 
@@ -287,8 +273,7 @@ TEST(InferenceTest, QueryOrderPermutesResultsConsistently) {
   // The engine must report predictions aligned with the query order, so a
   // permuted query returns the same per-node answers.
   auto w = MakeSmallWorld(3, models::ModelKind::kSgc, 200);
-  NaiEngine engine(w.data.graph, w.data.features, w.config.gamma,
-                   *w.classifiers, w.stationary.get(), nullptr);
+  NaiEngine engine = MakeTestEngine(w);
   InferenceConfig cfg;
   cfg.nap = NapKind::kDistance;
   cfg.threshold = 0.4f;

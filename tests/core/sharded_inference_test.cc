@@ -29,23 +29,12 @@ namespace nai::core {
 namespace {
 
 using nai::testing::MakeSmallWorld;
+using nai::testing::MakeTestEngine;
+using nai::testing::MakeTestShardedEngine;
+using nai::testing::MakeTestSnapshot;
 using nai::testing::SmallWorld;
 
 constexpr int kDepth = 3;
-
-NaiEngine MakePlainEngine(SmallWorld& w, const GateStack* gates) {
-  return NaiEngine(w.data.graph, w.data.features, w.config.gamma,
-                   *w.classifiers, w.stationary.get(), gates);
-}
-
-ShardedNaiEngine MakeSharded(SmallWorld& w, const GateStack* gates,
-                             int num_shards, int halo_hops = kDepth,
-                             int total_threads = 0) {
-  return ShardedNaiEngine(
-      w.data.graph, graph::MakeShards(w.data.graph, num_shards, halo_hops),
-      w.data.features, w.config.gamma, *w.classifiers, w.stationary.get(),
-      gates, total_threads);
-}
 
 void ExpectSamePerNode(const InferenceResult& got, const InferenceResult& want,
                        const std::string& label) {
@@ -72,11 +61,11 @@ void ExpectSameResult(const InferenceResult& got, const InferenceResult& want,
 void CheckShardedBitExact(SmallWorld& w, const GateStack* gates,
                           InferenceConfig cfg) {
   cfg.batch_size = 20;  // divides 400/1, 400/2 and 400/4 owned nodes
-  NaiEngine plain = MakePlainEngine(w, gates);
+  NaiEngine plain = MakeTestEngine(w, {.gates = gates});
   const InferenceResult reference = plain.Infer(w.all_nodes, cfg);
 
   for (const int shards : {1, 2, 4}) {
-    ShardedNaiEngine sharded = MakeSharded(w, gates, shards);
+    ShardedNaiEngine sharded = MakeTestShardedEngine(w, shards, kDepth, gates);
     const InferenceResult run = sharded.Infer(w.all_nodes, cfg);
     ExpectSameResult(run, reference, "shards=" + std::to_string(shards));
   }
@@ -118,11 +107,11 @@ TEST(ShardedInferenceTest, PoolSizeAndInterBatchParallelismInvariant) {
   cfg.nap = NapKind::kDistance;
   cfg.threshold = 0.3f;
   cfg.batch_size = 20;
-  NaiEngine plain = MakePlainEngine(w, nullptr);
+  NaiEngine plain = MakeTestEngine(w);
   const InferenceResult reference = plain.Infer(w.all_nodes, cfg);
   for (const int total_threads : {1, 5}) {
     ShardedNaiEngine sharded =
-        MakeSharded(w, nullptr, 2, kDepth, total_threads);
+        MakeTestShardedEngine(w, 2, kDepth, nullptr, total_threads);
     for (const int ibp : {1, 4}) {
       cfg.inter_batch_parallelism = ibp;
       const InferenceResult run = sharded.Infer(w.all_nodes, cfg);
@@ -139,7 +128,7 @@ TEST(ShardedInferenceTest, PoolSizeAndInterBatchParallelismInvariant) {
 void CheckScrambledContract(SmallWorld& w, ShardedNaiEngine& sharded,
                             const std::vector<std::int32_t>& queries,
                             InferenceConfig cfg) {
-  NaiEngine plain = MakePlainEngine(w, nullptr);
+  NaiEngine plain = MakeTestEngine(w);
   const InferenceResult reference = plain.Infer(queries, cfg);
   const InferenceResult run = sharded.Infer(queries, cfg);
   ExpectSamePerNode(run, reference, "scrambled");
@@ -166,7 +155,7 @@ TEST(ShardedInferenceTest, ScrambledQueryOrderMatchesPerNode) {
   cfg.nap = NapKind::kDistance;
   cfg.threshold = 0.3f;
   cfg.batch_size = 37;
-  ShardedNaiEngine sharded = MakeSharded(w, nullptr, 4);
+  ShardedNaiEngine sharded = MakeTestShardedEngine(w, 4, kDepth);
   CheckScrambledContract(w, sharded, queries, cfg);
 }
 
@@ -182,7 +171,7 @@ TEST(ShardedInferenceTest, UnevenShardCountAndCustomOwnerRoute) {
   cfg.threshold = 0.3f;
   cfg.batch_size = 37;
 
-  ShardedNaiEngine uneven = MakeSharded(w, nullptr, 3);
+  ShardedNaiEngine uneven = MakeTestShardedEngine(w, 3, kDepth);
   CheckScrambledContract(w, uneven, queries, cfg);
 
   std::vector<std::int32_t> owner(w.all_nodes.size());
@@ -190,9 +179,8 @@ TEST(ShardedInferenceTest, UnevenShardCountAndCustomOwnerRoute) {
     owner[v] = static_cast<std::int32_t>(v % 2);
   }
   ShardedNaiEngine round_robin(
-      w.data.graph, graph::MakeShards(w.data.graph, owner, kDepth),
-      w.data.features, w.config.gamma, *w.classifiers, w.stationary.get(),
-      nullptr);
+      MakeTestSnapshot(w), graph::MakeShards(w.data.graph, owner, kDepth),
+      *w.classifiers, nullptr);
   CheckScrambledContract(w, round_robin, queries, cfg);
 }
 
@@ -206,9 +194,8 @@ TEST(ShardedInferenceTest, EmptyShardGetsNoEngineButServingStaysExact) {
     owner[v] = (v % 2 == 0) ? 0 : 2;
   }
   ShardedNaiEngine sharded(
-      w.data.graph, graph::MakeShards(w.data.graph, owner, kDepth),
-      w.data.features, w.config.gamma, *w.classifiers, w.stationary.get(),
-      nullptr);
+      MakeTestSnapshot(w), graph::MakeShards(w.data.graph, owner, kDepth),
+      *w.classifiers, nullptr);
   ASSERT_EQ(sharded.num_shards(), 3u);
 
   std::vector<std::int32_t> queries = w.all_nodes;
@@ -229,7 +216,7 @@ TEST(ShardedInferenceTest, StatsSetExactlyOnceAcrossShards) {
   cfg.nap = NapKind::kDistance;
   cfg.threshold = 0.3f;
   cfg.batch_size = 25;
-  ShardedNaiEngine sharded = MakeSharded(w, nullptr, 3, 2);
+  ShardedNaiEngine sharded = MakeTestShardedEngine(w, 3, 2);
   const InferenceResult run = sharded.Infer(w.all_nodes, cfg);
   EXPECT_EQ(run.stats.num_nodes, 120);
   EXPECT_GT(run.stats.wall_time_ms, 0.0);
@@ -256,7 +243,7 @@ TEST(ShardedInferenceTest, AccumulateExcludesNumNodesAndWallTime) {
 
 TEST(ShardedInferenceTest, EmptyQueryList) {
   auto w = MakeSmallWorld(2, models::ModelKind::kSgc, 120);
-  ShardedNaiEngine sharded = MakeSharded(w, nullptr, 2, 2);
+  ShardedNaiEngine sharded = MakeTestShardedEngine(w, 2, 2);
   InferenceConfig cfg;
   cfg.nap = NapKind::kDistance;
   const InferenceResult r = sharded.Infer({}, cfg);
@@ -269,7 +256,7 @@ TEST(ShardedInferenceTest, EmptyQueryList) {
 
 TEST(ShardedInferenceTest, HaloTooShallowThrows) {
   auto w = MakeSmallWorld(kDepth);
-  ShardedNaiEngine sharded = MakeSharded(w, nullptr, 2, /*halo_hops=*/1);
+  ShardedNaiEngine sharded = MakeTestShardedEngine(w, 2, /*halo_hops=*/1);
   InferenceConfig cfg;
   cfg.nap = NapKind::kDistance;  // default t_max = 0 resolves to k = 3 > 1
   EXPECT_THROW(sharded.Infer(w.all_nodes, cfg), std::invalid_argument);
@@ -277,14 +264,14 @@ TEST(ShardedInferenceTest, HaloTooShallowThrows) {
   // A T_max within the halo must serve fine and match the plain engine.
   cfg.t_max = 1;
   cfg.batch_size = 20;
-  NaiEngine plain = MakePlainEngine(w, nullptr);
+  NaiEngine plain = MakeTestEngine(w);
   ExpectSameResult(sharded.Infer(w.all_nodes, cfg),
                    plain.Infer(w.all_nodes, cfg), "t_max=1 halo=1");
 }
 
 TEST(ShardedInferenceTest, QueryOutOfRangeThrows) {
   auto w = MakeSmallWorld(2, models::ModelKind::kSgc, 120);
-  ShardedNaiEngine sharded = MakeSharded(w, nullptr, 2, 2);
+  ShardedNaiEngine sharded = MakeTestShardedEngine(w, 2, 2);
   InferenceConfig cfg;
   EXPECT_THROW(sharded.Infer({-1}, cfg), std::out_of_range);
   EXPECT_THROW(sharded.Infer({120}, cfg), std::out_of_range);
@@ -312,12 +299,12 @@ TEST(ShardedInferenceTest, InferMixedRoutesAndGroupsBitExact) {
     queries.push_back({v, is_speed ? &speed : &full});
     (is_speed ? speed_nodes : full_nodes).push_back(v);
   }
-  NaiEngine plain = MakePlainEngine(w, nullptr);
+  NaiEngine plain = MakeTestEngine(w);
   const InferenceResult ref_speed = plain.Infer(speed_nodes, speed);
   const InferenceResult ref_full = plain.Infer(full_nodes, full);
 
   for (const int shards : {1, 2, 4}) {
-    ShardedNaiEngine sharded = MakeSharded(w, nullptr, shards);
+    ShardedNaiEngine sharded = MakeTestShardedEngine(w, shards, kDepth);
     const InferenceResult mixed = sharded.InferMixed(queries);
     ASSERT_EQ(mixed.predictions.size(), queries.size());
     std::size_t si = 0, fi = 0;
@@ -337,7 +324,7 @@ TEST(ShardedInferenceTest, InferMixedRoutesAndGroupsBitExact) {
 
 TEST(ShardedInferenceTest, InferMixedValidatesEveryConfig) {
   auto w = MakeSmallWorld(kDepth);
-  ShardedNaiEngine sharded = MakeSharded(w, nullptr, 2, /*halo_hops=*/1);
+  ShardedNaiEngine sharded = MakeTestShardedEngine(w, 2, /*halo_hops=*/1);
   InferenceConfig shallow;
   shallow.nap = NapKind::kDistance;
   shallow.t_max = 1;
@@ -358,10 +345,9 @@ TEST(ShardedInferenceTest, MismatchedShardingRejected) {
   auto w = MakeSmallWorld(2, models::ModelKind::kSgc, 120);
   auto other = MakeSmallWorld(2, models::ModelKind::kSgc, 60);
   EXPECT_THROW(
-      ShardedNaiEngine(w.data.graph,
+      ShardedNaiEngine(MakeTestSnapshot(w),
                        graph::MakeShards(other.data.graph, 2, 2),
-                       w.data.features, w.config.gamma, *w.classifiers,
-                       w.stationary.get(), nullptr),
+                       *w.classifiers, nullptr),
       std::invalid_argument);
 }
 
@@ -399,7 +385,7 @@ TEST(ShardedInferenceTest, CanServeFromShardMatchesGlobalHaloDepths) {
   // distances: shard s may serve v iff v sits deep enough inside s's halo
   // that the whole supporting BFS stays on complete adjacency rows.
   auto w = MakeSmallWorld(kDepth);
-  ShardedNaiEngine sharded = MakeSharded(w, nullptr, 2, kDepth);
+  ShardedNaiEngine sharded = MakeTestShardedEngine(w, 2, kDepth);
   const graph::ShardedGraph& sg = sharded.sharded_graph();
   InferenceConfig cfg;
   cfg.nap = NapKind::kDistance;
@@ -429,7 +415,7 @@ TEST(ShardedInferenceTest, StealEligibleNodesServeBitExactFromThief) {
   // node) pair answers bit-identically from the thief's engine and from
   // the routed owner path — predictions and exit depths alike.
   auto w = MakeSmallWorld(kDepth);
-  ShardedNaiEngine sharded = MakeSharded(w, nullptr, 4, kDepth);
+  ShardedNaiEngine sharded = MakeTestShardedEngine(w, 4, kDepth);
   const graph::ShardedGraph& sg = sharded.sharded_graph();
   InferenceConfig cfg;
   cfg.nap = NapKind::kDistance;
@@ -463,10 +449,6 @@ TEST(ShardedInferenceTest, StealEligibleNodesServeBitExactFromThief) {
   EXPECT_GT(eligible, 0u);
 }
 
-std::shared_ptr<const graph::GraphSnapshot> SnapshotOf(SmallWorld& w) {
-  return graph::MakeSnapshot(w.data.graph, w.data.features, w.config.gamma);
-}
-
 graph::GraphDelta SmallDelta(const graph::GraphSnapshot& base) {
   const std::size_t f = base.features().cols();
   const std::int64_t n = base.graph().num_nodes();
@@ -481,29 +463,11 @@ graph::GraphDelta SmallDelta(const graph::GraphSnapshot& base) {
   return delta;
 }
 
-TEST(ShardedInferenceTest, SnapshotConstructorMatchesBorrowedView) {
-  auto w = MakeSmallWorld(kDepth);
-  InferenceConfig cfg;
-  cfg.nap = NapKind::kDistance;
-  cfg.relative_distance = true;
-  cfg.threshold = 0.3f;
-  cfg.batch_size = 20;
-  ShardedNaiEngine borrowed = MakeSharded(w, nullptr, 2);
-  const InferenceResult want = borrowed.Infer(w.all_nodes, cfg);
-
-  auto snapshot = SnapshotOf(w);
-  ShardedNaiEngine snapped(snapshot,
-                           graph::MakeShards(snapshot->adj(), 2, kDepth),
-                           *w.classifiers, nullptr);
-  EXPECT_EQ(snapped.version(), 0u);
-  ExpectSameResult(snapped.Infer(w.all_nodes, cfg), want, "snapshot ctor");
-}
-
 TEST(ShardedInferenceTest, SwapSnapshotMatchesFromScratchMergedEngine) {
   // The tentpole contract: after a swap, every query answers bit-identically
   // to a fresh engine built from scratch on the merged graph.
   auto w = MakeSmallWorld(kDepth);
-  auto base = SnapshotOf(w);
+  auto base = MakeTestSnapshot(w);
   const graph::GraphDelta delta = SmallDelta(*base);
   InferenceConfig cfg;
   cfg.nap = NapKind::kDistance;
@@ -511,8 +475,6 @@ TEST(ShardedInferenceTest, SwapSnapshotMatchesFromScratchMergedEngine) {
   cfg.threshold = 0.3f;
 
   const auto merged = graph::MergeFromScratch(*base, {delta});
-  StationaryState merged_stationary(merged->graph(), merged->features(),
-                                    w.config.gamma);
   std::vector<std::int32_t> all_merged(merged->num_nodes());
   std::iota(all_merged.begin(), all_merged.end(), 0);
 
@@ -528,11 +490,10 @@ TEST(ShardedInferenceTest, SwapSnapshotMatchesFromScratchMergedEngine) {
     // but propagation MACs depend on the batch decomposition, so FULL stats
     // equality needs identical routing.
     ShardedNaiEngine reference(
-        merged->graph(),
+        merged,
         graph::MakeShards(merged->adj(), live.PinState()->sharded.owner,
                           kDepth),
-        merged->features(), w.config.gamma, *w.classifiers, &merged_stationary,
-        nullptr);
+        *w.classifiers, nullptr);
     ExpectSameResult(live.Infer(all_merged, cfg),
                      reference.Infer(all_merged, cfg),
                      "post-swap shards=" + std::to_string(shards));
@@ -541,7 +502,7 @@ TEST(ShardedInferenceTest, SwapSnapshotMatchesFromScratchMergedEngine) {
 
 TEST(ShardedInferenceTest, SwapKeepsPinnedStateUsableAndOwnersStable) {
   auto w = MakeSmallWorld(kDepth);
-  auto base = SnapshotOf(w);
+  auto base = MakeTestSnapshot(w);
   ShardedNaiEngine live(base, graph::MakeShards(base->adj(), 2, kDepth),
                         *w.classifiers, nullptr);
   InferenceConfig cfg;
@@ -580,11 +541,7 @@ TEST(ShardedInferenceTest, SwapKeepsPinnedStateUsableAndOwnersStable) {
 
 TEST(ShardedInferenceTest, SwapValidationThrows) {
   auto w = MakeSmallWorld(kDepth);
-  // Borrowed-view engines serve a frozen graph.
-  ShardedNaiEngine borrowed = MakeSharded(w, nullptr, 2);
-  auto base = SnapshotOf(w);
-  EXPECT_THROW(borrowed.SwapSnapshot(base), std::logic_error);
-
+  auto base = MakeTestSnapshot(w);
   ShardedNaiEngine live(base, graph::MakeShards(base->adj(), 2, kDepth),
                         *w.classifiers, nullptr);
   EXPECT_THROW(live.SwapSnapshot(nullptr), std::invalid_argument);
@@ -602,7 +559,7 @@ TEST(ShardedInferenceTest, SwapValidationThrows) {
 
 TEST(ShardedInferenceTest, NewNodesRoutableAfterSwap) {
   auto w = MakeSmallWorld(kDepth);
-  auto base = SnapshotOf(w);
+  auto base = MakeTestSnapshot(w);
   ShardedNaiEngine live(base, graph::MakeShards(base->adj(), 2, kDepth),
                         *w.classifiers, nullptr);
   const std::int64_t n = base->num_nodes();
@@ -615,10 +572,7 @@ TEST(ShardedInferenceTest, NewNodesRoutableAfterSwap) {
   const std::vector<std::int32_t> fresh = {static_cast<std::int32_t>(n),
                                            static_cast<std::int32_t>(n + 1)};
   const InferenceResult got = live.Infer(fresh, cfg);
-  StationaryState merged_stationary(merged->graph(), merged->features(),
-                                    w.config.gamma);
-  NaiEngine reference(merged->graph(), merged->features(), w.config.gamma,
-                      *w.classifiers, &merged_stationary, nullptr);
+  NaiEngine reference = NaiEngine::FromSnapshot(merged, *w.classifiers);
   const InferenceResult want = reference.Infer(fresh, cfg);
   EXPECT_EQ(got.predictions, want.predictions);
   EXPECT_EQ(got.exit_depths, want.exit_depths);

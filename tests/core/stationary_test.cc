@@ -1,11 +1,14 @@
 #include "src/core/stationary.h"
 #include <cmath>
+#include <cstring>
 
 #include "gtest/gtest.h"
 #include "src/tensor/ops.h"
+#include "src/graph/delta.h"
 #include "src/graph/generators.h"
 #include "src/graph/normalize.h"
 #include "src/models/scalable_gnn.h"
+#include "tests/core/core_fixtures.h"
 #include "tests/test_util.h"
 
 namespace nai::core {
@@ -151,6 +154,42 @@ TEST(StationaryTest, FromPooledReconstructsIdenticalState) {
   EXPECT_EQ(original.RowsForNodes(all).CountDifferences(
                 rebuilt.RowsForNodes(all), 0.0f),
             0u);
+}
+
+/// Engines build their stationary view from the snapshot store's pooled
+/// vector; the direct StationaryState computation is the independent
+/// reference it must match bit for bit (pooled vector and every row).
+void ExpectSnapshotStationaryMatchesDirect(const graph::Graph& g,
+                                           const tensor::Matrix& x,
+                                           float gamma) {
+  const StationaryState direct(g, x, gamma);
+  const auto snapshot = graph::MakeSnapshot(g, x, gamma);
+  const StationaryState via_snapshot = StationaryState::FromPooled(
+      g, *snapshot->feature_store->stationary_pooled(), gamma);
+  ASSERT_EQ(direct.pooled().size(), via_snapshot.pooled().size());
+  EXPECT_EQ(std::memcmp(direct.pooled().data(), via_snapshot.pooled().data(),
+                        direct.pooled().size() * sizeof(float)),
+            0);
+  std::vector<std::int32_t> all;
+  for (std::int32_t i = 0; i < g.num_nodes(); ++i) all.push_back(i);
+  const tensor::Matrix want = direct.RowsForNodes(all);
+  const tensor::Matrix got = via_snapshot.RowsForNodes(all);
+  ASSERT_EQ(want.size(), got.size());
+  EXPECT_EQ(std::memcmp(want.data(), got.data(), want.size() * sizeof(float)),
+            0);
+}
+
+TEST(StationaryTest, SnapshotPooledVectorMatchesDirectComputation) {
+  const auto w = nai::testing::MakeSmallWorld(3, models::ModelKind::kSgc, 400,
+                                              /*train_epochs=*/1);
+  ExpectSnapshotStationaryMatchesDirect(w.data.graph, w.data.features,
+                                        w.config.gamma);
+  // The isolated-node and edgeless graphs of inference_edge_test.
+  ExpectSnapshotStationaryMatchesDirect(
+      graph::Graph::FromEdges(6, {{0, 1}, {1, 2}, {2, 3}, {3, 4}}),
+      RandomMatrix(6, 8, 3), 0.5f);
+  ExpectSnapshotStationaryMatchesDirect(graph::Graph::FromEdges(12, {}),
+                                        RandomMatrix(12, 8, 17), 0.5f);
 }
 
 }  // namespace

@@ -3,7 +3,11 @@
 
 #include "src/eval/harness.h"
 
+#include <cstdlib>
+#include <string>
+
 #include "gtest/gtest.h"
+#include "src/storage/store.h"
 
 namespace nai::eval {
 namespace {
@@ -160,6 +164,65 @@ TEST_F(HarnessTest, RunServingClosedLoopServesEveryNodeBitExact) {
   // Both classes actually appeared (seeded mix at 0.5 over 100+ nodes).
   EXPECT_GT(report.stats.per_class[0].count, 0);
   EXPECT_GT(report.stats.per_class[1].count, 0);
+}
+
+/// Sets NAI_STORE for one scope and restores the caller's value after.
+class ScopedNaiStore {
+ public:
+  explicit ScopedNaiStore(const char* value) {
+    const char* saved = std::getenv("NAI_STORE");
+    had_value_ = saved != nullptr;
+    if (had_value_) saved_ = saved;
+    ::setenv("NAI_STORE", value, 1);
+  }
+  ~ScopedNaiStore() {
+    if (had_value_) {
+      ::setenv("NAI_STORE", saved_.c_str(), 1);
+    } else {
+      ::unsetenv("NAI_STORE");
+    }
+  }
+
+ private:
+  bool had_value_ = false;
+  std::string saved_;
+};
+
+TEST_F(HarnessTest, MakeShardedEngineServesFromMmapStore) {
+  // NAI_STORE=mmap (the --store flag's env form) must reach the sharded
+  // factory: the engine serves out of the mapping, bit-identical to the
+  // in-memory run, and the front-end reports the backend it serves from.
+  const serve::QosPolicyTable table =
+      MakeQosPolicyTable(*pipeline_, *ds_, core::NapKind::kDistance);
+  const std::vector<std::int32_t>& nodes = ds_->split.test_nodes;
+  for (const int shards : {1, 2}) {
+    std::unique_ptr<core::ShardedNaiEngine> mem;
+    std::unique_ptr<core::ShardedNaiEngine> mapped;
+    {
+      ScopedNaiStore store("mem");
+      mem = MakeShardedEngine(*pipeline_, *ds_, shards);
+    }
+    {
+      ScopedNaiStore store("mmap");
+      mapped = MakeShardedEngine(*pipeline_, *ds_, shards);
+    }
+    EXPECT_EQ(mem->PinState()->snapshot->backend(),
+              storage::StoreBackend::kMem);
+    EXPECT_EQ(mapped->PinState()->snapshot->backend(),
+              storage::StoreBackend::kMmap)
+        << "shards=" << shards;
+    for (const serve::QosClass qos :
+         {serve::QosClass::kSpeedFirst, serve::QosClass::kThroughputFirst,
+          serve::QosClass::kAccuracyFirst}) {
+      const core::InferenceConfig& cfg = table.For(qos).config;
+      const core::InferenceResult want = mem->Infer(nodes, cfg);
+      const core::InferenceResult got = mapped->Infer(nodes, cfg);
+      EXPECT_EQ(got.predictions, want.predictions) << "shards=" << shards;
+      EXPECT_EQ(got.exit_depths, want.exit_depths) << "shards=" << shards;
+    }
+    serve::ServingEngine server(*mapped, table);
+    EXPECT_EQ(server.Stats().store_backend, "mmap") << "shards=" << shards;
+  }
 }
 
 TEST_F(HarnessTest, RunServingOpenLoopPacesAndReportsOfferedLoad) {

@@ -12,7 +12,7 @@
 #include "src/core/classifier_stack.h"
 #include "src/core/distillation.h"
 #include "src/core/inference.h"
-#include "src/core/stationary.h"
+#include "src/graph/delta.h"
 #include "src/graph/generators.h"
 #include "src/graph/normalize.h"
 #include "src/models/scalable_gnn.h"
@@ -25,7 +25,8 @@ constexpr int kDepth = 3;
 
 struct Pipeline {
   graph::SyntheticDataset data;
-  std::unique_ptr<core::StationaryState> stationary;
+  /// Graph, features, normalized adjacency and pooled X^(inf) vector.
+  std::shared_ptr<const graph::GraphSnapshot> snapshot;
   std::unique_ptr<core::ClassifierStack> classifiers;
   std::vector<std::int32_t> all_nodes;
 };
@@ -56,8 +57,7 @@ Pipeline BuildPipeline() {
 
   const graph::Csr norm_adj =
       graph::NormalizedAdjacency(p.data.graph, mcfg.gamma);
-  p.stationary = std::make_unique<core::StationaryState>(
-      p.data.graph, p.data.features, mcfg.gamma);
+  p.snapshot = graph::MakeSnapshot(p.data.graph, p.data.features, mcfg.gamma);
   p.classifiers = std::make_unique<core::ClassifierStack>(mcfg, 11);
 
   for (std::int64_t i = 0; i < kNumNodes; ++i) {
@@ -79,8 +79,8 @@ TEST(Algorithm1SmokeTest, NapdPipelineRunsAndStatsAreSane) {
   Pipeline p = BuildPipeline();
 
   // Step 3: NAPd online inference over every node.
-  core::NaiEngine engine(p.data.graph, p.data.features, 0.5f, *p.classifiers,
-                         p.stationary.get(), nullptr);
+  core::NaiEngine engine =
+      core::NaiEngine::FromSnapshot(p.snapshot, *p.classifiers);
   core::InferenceConfig icfg;
   icfg.nap = core::NapKind::kDistance;
   icfg.relative_distance = true;
@@ -119,8 +119,8 @@ TEST(Algorithm1SmokeTest, NapdPipelineRunsAndStatsAreSane) {
 
 TEST(Algorithm1SmokeTest, NapdSavesWorkVersusFixedDepth) {
   Pipeline p = BuildPipeline();
-  core::NaiEngine engine(p.data.graph, p.data.features, 0.5f, *p.classifiers,
-                         p.stationary.get(), nullptr);
+  core::NaiEngine engine =
+      core::NaiEngine::FromSnapshot(p.snapshot, *p.classifiers);
 
   core::InferenceConfig fixed;
   fixed.nap = core::NapKind::kNone;

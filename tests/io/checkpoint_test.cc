@@ -4,6 +4,7 @@
 
 #include "gtest/gtest.h"
 #include "src/core/inference.h"
+#include "src/storage/mem_store.h"
 #include "src/tensor/ops.h"
 #include "tests/core/core_fixtures.h"
 #include "tests/test_util.h"
@@ -12,6 +13,7 @@ namespace nai::io {
 namespace {
 
 using nai::testing::MakeSmallWorld;
+using nai::testing::MakeTestEngine;
 
 TEST(CheckpointTest, ClassifierStackRoundTrip) {
   auto w = MakeSmallWorld(3);
@@ -97,10 +99,12 @@ TEST(CheckpointTest, FullDeploymentRoundTrip) {
   const core::StationaryState loaded_st =
       LoadStationaryState(st_ss, w.data.graph);
 
-  core::NaiEngine original(w.data.graph, w.data.features, w.config.gamma,
-                           *w.classifiers, w.stationary.get(), nullptr);
-  core::NaiEngine restored(w.data.graph, w.data.features, w.config.gamma,
-                           loaded_cls, &loaded_st, nullptr);
+  core::NaiEngine original = MakeTestEngine(w);
+  auto store = std::make_shared<storage::MemStore>(
+      w.data.graph, w.data.features, w.config.gamma, w.norm_adj,
+      loaded_st.pooled());
+  core::NaiEngine restored = core::NaiEngine::FromSnapshot(
+      graph::MakeSnapshotFromStore(store, store), loaded_cls);
   core::InferenceConfig cfg;
   cfg.nap = core::NapKind::kDistance;
   cfg.threshold = 0.3f;

@@ -32,11 +32,7 @@ SmallWorld& World() {
 }
 
 core::ShardedNaiEngine MakeSharded(int num_shards, int halo_hops = kDepth) {
-  SmallWorld& w = World();
-  return core::ShardedNaiEngine(
-      w.data.graph, graph::MakeShards(w.data.graph, num_shards, halo_hops),
-      w.data.features, w.config.gamma, *w.classifiers, w.stationary.get(),
-      nullptr);
+  return nai::testing::MakeTestShardedEngine(World(), num_shards, halo_hops);
 }
 
 QosPolicyTable MakePolicies(double speed_deadline_ms = 1000.0,

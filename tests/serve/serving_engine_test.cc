@@ -35,8 +35,8 @@ std::unique_ptr<core::ShardedNaiEngine> MakeSharded(int num_shards,
                                                     int halo_hops = kDepth) {
   SmallWorld& w = World();
   auto engine = std::make_unique<core::ShardedNaiEngine>(
-      w.data.graph, graph::MakeShards(w.data.graph, num_shards, halo_hops),
-      w.data.features, w.config.gamma, *w.classifiers, w.stationary.get(),
+      nai::testing::MakeTestSnapshot(w),
+      graph::MakeShards(w.data.graph, num_shards, halo_hops), *w.classifiers,
       nullptr);
   engine->AttachQuantizedClassifiers(w.quantized.get());
   return engine;
@@ -376,10 +376,8 @@ TEST(ServingEngineTest, Int8PolicyRejectedWithoutQuantizedStack) {
   // front-end construction when the engine has no quantized bank attached
   // — not discovered on the first throughput-first request.
   SmallWorld& w = World();
-  core::ShardedNaiEngine bare(
-      w.data.graph, graph::MakeShards(w.data.graph, 2, kDepth),
-      w.data.features, w.config.gamma, *w.classifiers, w.stationary.get(),
-      nullptr);
+  core::ShardedNaiEngine bare =
+      nai::testing::MakeTestShardedEngine(w, 2, kDepth);
   EXPECT_THROW(ServingEngine(bare, DefaultQosPolicyTable(kDepth)),
                std::invalid_argument);
   // Float-only tables keep working on the same bare engine.

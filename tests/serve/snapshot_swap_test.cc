@@ -35,8 +35,7 @@ SmallWorld& World() {
 }
 
 std::shared_ptr<const graph::GraphSnapshot> BaseSnapshot() {
-  SmallWorld& w = World();
-  return graph::MakeSnapshot(w.data.graph, w.data.features, w.config.gamma);
+  return nai::testing::MakeTestSnapshot(World());
 }
 
 QosPolicyTable MakePolicies() {
@@ -78,10 +77,8 @@ TEST(SnapshotSwapTest, ApplyDeltasBitExactAcrossShardsQosAndCache) {
   const QosPolicyTable policies = MakePolicies();
 
   const auto merged = graph::MergeFromScratch(*base, {delta});
-  core::StationaryState merged_stationary(merged->graph(), merged->features(),
-                                          w.config.gamma);
-  core::NaiEngine reference(merged->graph(), merged->features(), w.config.gamma,
-                            *w.classifiers, &merged_stationary, nullptr);
+  core::NaiEngine reference =
+      core::NaiEngine::FromSnapshot(merged, *w.classifiers);
   std::vector<std::int32_t> all_merged(merged->num_nodes());
   for (std::size_t i = 0; i < all_merged.size(); ++i) {
     all_merged[i] = static_cast<std::int32_t>(i);
@@ -135,16 +132,6 @@ TEST(SnapshotSwapTest, ApplyDeltasBitExactAcrossShardsQosAndCache) {
       EXPECT_EQ(stats.snapshot_swaps, 1);
     }
   }
-}
-
-TEST(SnapshotSwapTest, ApplyDeltasOnBorrowedEngineThrows) {
-  SmallWorld& w = World();
-  core::ShardedNaiEngine engine(
-      w.data.graph, graph::MakeShards(w.data.graph, 2, kDepth),
-      w.data.features, w.config.gamma, *w.classifiers, w.stationary.get(),
-      nullptr);
-  ServingEngine server(engine, MakePolicies());
-  EXPECT_THROW(server.ApplyDeltas(graph::GraphDelta{}), std::logic_error);
 }
 
 TEST(SnapshotSwapTest, InvalidDeltaSurfacesThroughFutureAndKeepsServing) {
