@@ -1,14 +1,16 @@
-// Engine design-choice ablations (DESIGN.md §4): quantifies the impact of
+// Engine design-choice ablations: quantifies the impact of
 //  (1) the exit criterion: absolute Eq.-8 distance vs the scale-free
 //      relative distance the harness deploys,
-//  (2) frontier shrinking: re-deriving the supporting set from the
-//      still-active nodes after each exit round,
+//  (2) the demand-driven propagation schedule: the propagation work the
+//      engine actually executes with early exits, next to what fixed-depth
+//      T_max propagation of the same batches costs,
 //  (3) mapped propagation vs per-batch induced-submatrix materialization.
 
 #include <algorithm>
 #include <cstdio>
 
 #include "bench/bench_util.h"
+#include "src/eval/mac_counter.h"
 #include "src/eval/datasets.h"
 #include "src/eval/harness.h"
 #include "src/graph/normalize.h"
@@ -50,21 +52,43 @@ void ExitCriterionAblation(core::NaiEngine& engine,
               r_abs.row.accuracy * 100, r_abs.stats.average_depth());
 }
 
-void ShrinkAblation(core::NaiEngine& engine, eval::TrainedPipeline& pipeline,
-                    const eval::PreparedDataset& ds) {
-  std::printf("\n-- frontier shrinking after early exits --\n");
+void ScheduleAblation(core::NaiEngine& engine,
+                      eval::TrainedPipeline& pipeline,
+                      const eval::PreparedDataset& ds) {
+  std::printf("\n-- propagation schedule: executed vs fixed-depth MACs --\n");
   const auto settings =
       eval::MakeDefaultSettings(pipeline, ds, core::NapKind::kDistance);
-  for (const bool shrink : {true, false}) {
-    core::InferenceConfig cfg = settings[2].config;  // accuracy-first
-    cfg.batch_size = 500;
-    cfg.shrink_active_support = shrink;
-    const auto r = eval::RunNai(engine, ds, ds.split.test_nodes, cfg,
-                                shrink ? "shrink" : "no-shrink");
-    std::printf("%-10s ACC %.2f%%  FP mMACs/node %.3f  FP time %.1f ms\n",
-                shrink ? "shrink" : "no-shrink", r.row.accuracy * 100,
-                r.row.fp_mmacs_per_node, r.row.fp_time_ms);
+  core::InferenceConfig cfg = settings[2].config;  // accuracy-first
+  cfg.batch_size = 500;
+  const auto r =
+      eval::RunNai(engine, ds, ds.split.test_nodes, cfg, "accuracy-first");
+
+  // What propagating every batch to T_max would cost (no early-exit
+  // savings): eval::FixedDepthPropagationMacs over each batch's support.
+  const graph::Csr adj =
+      graph::NormalizedAdjacency(ds.data.graph, pipeline.model_config.gamma);
+  graph::SupportSampler sampler(adj);
+  const int t_max = cfg.effective_t_max(pipeline.model_config.depth);
+  const auto f = static_cast<std::int64_t>(ds.data.features.cols());
+  const std::vector<std::int32_t>& nodes = ds.split.test_nodes;
+  std::int64_t fixed_macs = 0;
+  for (std::size_t begin = 0; begin < nodes.size(); begin += cfg.batch_size) {
+    const std::vector<std::int32_t> batch(
+        nodes.begin() + begin,
+        nodes.begin() + std::min(nodes.size(), begin + cfg.batch_size));
+    fixed_macs += eval::FixedDepthPropagationMacs(sampler.Sample(batch, t_max),
+                                                  t_max, f);
   }
+  const double fixed_mmacs_per_node =
+      static_cast<double>(fixed_macs) / 1e6 / static_cast<double>(nodes.size());
+  std::printf("ACC %.2f%%  avg depth %.2f  T_max %d\n", r.row.accuracy * 100,
+              r.stats.average_depth(), t_max);
+  std::printf("engine FP mMACs/node          %8.3f  FP time %.1f ms\n",
+              r.row.fp_mmacs_per_node, r.row.fp_time_ms);
+  std::printf("engine propagation mMACs/node %8.3f\n",
+              static_cast<double>(r.stats.propagation_macs) / 1e6 /
+                  static_cast<double>(nodes.size()));
+  std::printf("fixed-depth T_max mMACs/node  %8.3f\n", fixed_mmacs_per_node);
 }
 
 void SamplerAblation(const eval::PreparedDataset& ds, float gamma) {
@@ -103,7 +127,7 @@ int main(int argc, char** argv) {
   auto engine = eval::MakeEngine(pipeline, ds);
 
   ExitCriterionAblation(*engine, pipeline, ds);
-  ShrinkAblation(*engine, pipeline, ds);
+  ScheduleAblation(*engine, pipeline, ds);
   SamplerAblation(ds, pipeline.model_config.gamma);
   return 0;
 }

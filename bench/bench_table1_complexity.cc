@@ -71,6 +71,7 @@ int main(int argc, char** argv) {
   std::printf(
       "\nNote: the analytic NAI column uses the rank-one stationary term "
       "(nf)\nthat this implementation executes instead of the paper's n^2 f "
-      "—\nsee DESIGN.md §2 and StationaryState.\n");
+      "—\nX^(inf) = u g^T with one pooled vector g, see StationaryState "
+      "(src/core/stationary.h).\n");
   return 0;
 }

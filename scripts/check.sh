@@ -2,7 +2,9 @@
 # The repo's quality gate, split into named stages so CI jobs and local
 # runs invoke exactly the same commands:
 #
-#   release   Plain Release configure + build + full CTest run.
+#   release   Plain Release configure + build + full CTest run, then the
+#             benchmark driver's self-test and a 3 s exactness-gated
+#             mixed_closed run.
 #   asan      Release + ASan/UBSan build, full CTest run, then a
 #             NAI_THREADS=1 serial-path pass of the threading-sensitive
 #             suites.
@@ -56,6 +58,10 @@ stage_release() {
   cmake -B "${BUILD_DIR}-perfbench" -S perfbench -DCMAKE_BUILD_TYPE=Release
   cmake --build "${BUILD_DIR}-perfbench" -j "${JOBS}"
   "${BUILD_DIR}-perfbench/perfbench_stats_test"
+  # A short engine-bound run: exits 1 if any served answer differs from a
+  # direct Infer of the same node and config.
+  "${BUILD_DIR}-perfbench/nai_perfbench" --workload mixed_closed --seed 1 \
+    --seconds 3 --trace 0
 }
 
 stage_asan() {
@@ -91,7 +97,7 @@ stage_tsan() {
     tensor_simd_dispatch_test graph_csr_test \
     core_inference_test core_inference_edge_test \
     core_inference_parallel_test core_inference_simd_test \
-    core_sharded_inference_test \
+    core_inference_reference_test core_sharded_inference_test \
     graph_shard_test graph_delta_test serve_request_queue_test \
     serve_batcher_test serve_scheduler_test serve_serving_engine_test \
     serve_result_cache_test serve_snapshot_swap_test \

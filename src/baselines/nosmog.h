@@ -17,7 +17,7 @@ namespace nai::baselines {
 /// unseen nodes are aggregated from their neighbors by sparse matrix
 /// multiplication at inference time.
 ///
-/// Substitution (documented in DESIGN.md): DeepWalk embeddings are replaced
+/// Substitution: DeepWalk embeddings are replaced
 /// by a smoothed random-projection structural embedding — `walk_smoothing`
 /// rounds of neighbor averaging of a random Gaussian code over the training
 /// graph. Like DeepWalk it embeds co-occurrence structure, and it exercises

@@ -20,53 +20,6 @@ double MsSince(Clock::time_point start) {
       .count();
 }
 
-/// Local ids within `radius` hops of the seed locals, walking the *global*
-/// adjacency through the support mapping, ascending. `visited` is
-/// caller-provided scratch sized |support|, all false on entry and restored
-/// to all false on exit.
-std::vector<std::int32_t> RadiusBfs(
-    graph::CsrView global, const std::vector<std::int32_t>& nodes,
-    const std::vector<std::int32_t>& global_to_local,
-    const std::vector<std::int32_t>& seeds, int radius,
-    std::vector<char>& visited) {
-  std::vector<std::int32_t> reached;
-  reached.reserve(seeds.size() * 4);
-  for (const std::int32_t s : seeds) {
-    if (!visited[s]) {
-      visited[s] = 1;
-      reached.push_back(s);
-    }
-  }
-  std::size_t frontier_begin = 0;
-  for (int hop = 0; hop < radius; ++hop) {
-    const std::size_t frontier_end = reached.size();
-    for (std::size_t i = frontier_begin; i < frontier_end; ++i) {
-      const std::int32_t g = nodes[reached[i]];
-      for (std::int64_t p = global.row_ptr[g]; p < global.row_ptr[g + 1];
-           ++p) {
-        const std::int32_t u = global_to_local[global.col_idx[p]];
-        if (u >= 0 && !visited[u]) {
-          visited[u] = 1;
-          reached.push_back(u);
-        }
-      }
-    }
-    frontier_begin = frontier_end;
-  }
-  for (const std::int32_t v : reached) visited[v] = 0;
-  std::sort(reached.begin(), reached.end());
-  return reached;
-}
-
-/// Sum of global-row nnz over a list of local rows.
-std::int64_t RowListNnz(graph::CsrView global,
-                        const std::vector<std::int32_t>& nodes,
-                        const std::vector<std::int32_t>& local_rows) {
-  std::int64_t nnz = 0;
-  for (const std::int32_t r : local_rows) nnz += global.RowNnz(nodes[r]);
-  return nnz;
-}
-
 /// Stationary view over the snapshot's pooled vector, whatever backend the
 /// snapshot's stores have.
 StationaryState BuildStationary(const graph::GraphSnapshot& snapshot) {
@@ -138,7 +91,7 @@ NaiEngine::NaiEngine(std::shared_ptr<const void> adjacency_owner,
       classifiers_(&classifiers),
       gates_(gates),
       ctx_(ctx),
-      sampler_(norm_adj_) {}
+      scratch_(norm_adj_) {}
 
 InferenceResult NaiEngine::Infer(const std::vector<std::int32_t>& nodes,
                                  const InferenceConfig& config) {
@@ -183,7 +136,7 @@ InferenceResult NaiEngine::Infer(const std::vector<std::int32_t>& nodes,
   // of the result, so the outcome is bit-identical regardless of how batch
   // ranges are scheduled.
   auto run_batches = [&](std::size_t first_batch, std::size_t last_batch,
-                         graph::SupportSampler& sampler,
+                         BatchScratch& scratch,
                          InferenceStats& stats) {
     std::vector<std::int32_t> batch_pred;
     std::vector<std::int32_t> batch_depth;
@@ -194,7 +147,7 @@ InferenceResult NaiEngine::Infer(const std::vector<std::int32_t>& nodes,
                                             nodes.begin() + end);
       batch_pred.assign(batch.size(), -1);
       batch_depth.assign(batch.size(), -1);
-      InferBatch(batch, config, t_max, sampler, batch_pred, batch_depth,
+      InferBatch(batch, config, t_max, scratch, batch_pred, batch_depth,
                  stats);
       std::copy(batch_pred.begin(), batch_pred.end(),
                 result.predictions.begin() + begin);
@@ -204,9 +157,9 @@ InferenceResult NaiEngine::Infer(const std::vector<std::int32_t>& nodes,
   };
 
   if (shards <= 1) {
-    run_batches(0, num_batches, sampler_, result.stats);
+    run_batches(0, num_batches, scratch_, result.stats);
   } else {
-    // Contiguous shards of batches, one sampler and one local stats block
+    // Contiguous shards of batches, one scratch and one local stats block
     // per shard; shard stats are merged in shard order afterwards.
     const std::size_t batches_per_shard = (num_batches + shards - 1) / shards;
     std::vector<InferenceStats> shard_stats(shards);
@@ -216,10 +169,10 @@ InferenceResult NaiEngine::Infer(const std::vector<std::int32_t>& nodes,
     pool.ParallelFor(0, shards, runtime::ThreadPool::kMinChunkWork,
                      [&](std::size_t s0, std::size_t s1) {
       for (std::size_t s = s0; s < s1; ++s) {
-        graph::SupportSampler sampler(norm_adj_);
+        BatchScratch scratch(norm_adj_);
         const std::size_t first = s * batches_per_shard;
         run_batches(first, std::min(num_batches, first + batches_per_shard),
-                    sampler, shard_stats[s]);
+                    scratch, shard_stats[s]);
       }
     });
     for (const InferenceStats& st : shard_stats) result.stats.Accumulate(st);
@@ -273,9 +226,65 @@ InferenceResult NaiEngine::InferMixed(
   return result;
 }
 
+void NaiEngine::BatchScratch::Reset(int t_max) {
+  const std::size_t levels = static_cast<std::size_t>(t_max) + 1;
+  rows.resize(levels);
+  values.resize(levels);
+  computed.resize(levels);
+  for (std::size_t j = 0; j < levels; ++j) {
+    rows[j].clear();
+    values[j].clear();
+    computed[j].clear();
+  }
+  done.assign(levels, 0);
+}
+
+void NaiEngine::ExtendLevel(int level, std::int64_t prefix,
+                            BatchScratch& scratch,
+                            InferenceStats& stats) const {
+  const graph::SupportSampler& sampler = scratch.sampler;
+  const std::vector<std::int32_t>& nodes = sampler.support_nodes();
+  const std::vector<std::int32_t>& ring = sampler.ring();
+  std::vector<const float*>& rows = scratch.rows[level];
+  std::vector<std::int32_t>& pending = scratch.pending;
+  pending.clear();
+  std::int64_t nnz = 0;
+  for (std::int64_t i = scratch.done[level]; i < prefix; ++i) {
+    const std::int32_t v = ring[i];
+    if (rows[v] == nullptr) {
+      pending.push_back(v);
+      nnz += norm_adj_.RowNnz(nodes[v]);
+    }
+  }
+  scratch.done[level] = prefix;
+  if (pending.empty()) return;
+
+  // Append exactly the new rows; when that moves the buffer, re-point the
+  // rows already computed.
+  const std::size_t f = features_->dim();
+  std::vector<float>& values = scratch.values[level];
+  std::vector<std::int32_t>& computed = scratch.computed[level];
+  const float* old_base = values.data();
+  values.reserve(values.size() + pending.size() * f);
+  values.resize(values.size() + pending.size() * f);
+  if (values.data() != old_base) {
+    for (std::size_t s = 0; s < computed.size(); ++s) {
+      rows[computed[s]] = values.data() + s * f;
+    }
+  }
+  float* out = values.data() + computed.size() * f;
+  graph::SpMMMappedGather(norm_adj_, nodes, sampler.global_to_local(),
+                          scratch.rows[level - 1], pending, f, out, ctx_);
+  for (std::size_t s = 0; s < pending.size(); ++s) {
+    rows[pending[s]] = out + s * f;
+  }
+  computed.insert(computed.end(), pending.begin(), pending.end());
+  stats.propagation_macs += nnz * static_cast<std::int64_t>(f);
+}
+
 void NaiEngine::InferBatch(const std::vector<std::int32_t>& batch,
                            const InferenceConfig& config, int t_max,
-                           graph::SupportSampler& sampler,
+                           BatchScratch& scratch,
                            std::vector<std::int32_t>& out_predictions,
                            std::vector<std::int32_t>& out_depths,
                            InferenceStats& stats) {
@@ -283,19 +292,14 @@ void NaiEngine::InferBatch(const std::vector<std::int32_t>& batch,
   const std::size_t B = batch.size();
   const int t_min = std::clamp(config.t_min, 1, t_max);
   const bool use_nap = config.nap != NapKind::kNone;
+  graph::SupportSampler& sampler = scratch.sampler;
+  const std::vector<std::int32_t>& nodes = sampler.support_nodes();
 
-  // Line 3: sample supporting nodes out to T_max hops. The mapped variant
-  // skips the induced-submatrix build; propagation reads the global
-  // adjacency through the support mapping.
+  // Line 3, on demand: the supporting set starts as the batch (local rows
+  // [0, B)) and grows ring by ring as the exit checks below need it.
   auto t0 = Clock::now();
-  graph::BatchSupport support = sampler.SampleMapped(batch, t_max);
-  const std::vector<std::int32_t>& g2l = sampler.global_to_local();
-  tensor::Matrix cur = features_->GatherRows(support.nodes);
-  // Cumulative touched-edge counts per local prefix, for MAC accounting.
-  std::vector<std::int64_t> prefix_nnz(support.nodes.size() + 1, 0);
-  for (std::size_t r = 0; r < support.nodes.size(); ++r) {
-    prefix_nnz[r + 1] = prefix_nnz[r] + norm_adj_.RowNnz(support.nodes[r]);
-  }
+  sampler.BeginSupport(batch);
+  scratch.Reset(t_max);
   stats.sample_time_ms += MsSince(t0);
 
   // Line 2: stationary state X^(∞) for the batch (rank-1 form).
@@ -307,30 +311,24 @@ void NaiEngine::InferBatch(const std::vector<std::int32_t>& batch,
     stats.stationary_macs += static_cast<std::int64_t>(B) * f;
   }
 
-  // Per-depth history of the batch rows only (the classifier heads of
-  // SIGN/S2GC/GAMLP consume the whole slice X^(0..l)).
-  std::vector<tensor::Matrix> batch_stack;
-  batch_stack.reserve(t_max + 1);
-  std::vector<std::int32_t> batch_locals(B);
-  for (std::size_t i = 0; i < B; ++i) {
-    batch_locals[i] = static_cast<std::int32_t>(i);
-  }
-  batch_stack.push_back(cur.GatherRows(batch_locals));
-
-  std::vector<std::int32_t> active = batch_locals;
-  tensor::Matrix next(support.nodes.size(), f);
-  std::vector<char> bfs_visited(support.nodes.size(), 0);
-  std::vector<std::int32_t> rows_to_compute;
-  bool use_row_list = false;
+  // Copies level `depth`'s rows of `locals` into a dense matrix.
+  auto gather = [&](int depth, const std::vector<std::int32_t>& locals) {
+    tensor::Matrix m(locals.size(), f);
+    for (std::size_t i = 0; i < locals.size(); ++i) {
+      const float* src = scratch.rows[depth][locals[i]];
+      std::copy(src, src + f, m.row(i));
+    }
+    return m;
+  };
 
   auto classify = [&](int depth, const std::vector<std::int32_t>& locals) {
     if (locals.empty()) return;
     auto tc = Clock::now();
+    // The classifier heads of SIGN/S2GC/GAMLP consume the whole slice
+    // X^(0..depth); every level holds the rows of active batch nodes.
     GatheredStack gathered;
     gathered.mats.reserve(depth + 1);
-    for (int t = 0; t <= depth; ++t) {
-      gathered.mats.push_back(batch_stack[t].GatherRows(locals));
-    }
+    for (int t = 0; t <= depth; ++t) gathered.mats.push_back(gather(t, locals));
     const tensor::Matrix logits = config.int8_classifier
                                       ? quantized_->Logits(depth, gathered)
                                       : classifiers_->Logits(depth, gathered);
@@ -345,37 +343,41 @@ void NaiEngine::InferBatch(const std::vector<std::int32_t>& batch,
     stats.exits_at_depth[depth - 1] += static_cast<std::int64_t>(locals.size());
   };
 
-  for (int l = 1; l <= t_max; ++l) {
-    // Line 5: propagate one hop, but only for nodes that can still matter:
-    // everything within (t_max - l) hops of the active batch nodes.
-    auto tf = Clock::now();
-    if (use_row_list) {
-      graph::SpMMMappedRows(norm_adj_, support.nodes, g2l, cur,
-                            rows_to_compute, next, ctx_);
-      stats.propagation_macs +=
-          RowListNnz(norm_adj_, support.nodes, rows_to_compute) *
-          static_cast<std::int64_t>(f);
-    } else {
-      const std::int64_t limit = support.layer_counts[t_max - l];
-      graph::SpMMMappedPrefix(norm_adj_, support.nodes, g2l, cur, limit,
-                              next, ctx_);
-      stats.propagation_macs +=
-          prefix_nnz[limit] * static_cast<std::int64_t>(f);
-    }
-    std::swap(cur, next);
-    stats.fp_time_ms += MsSince(tf);
-    batch_stack.push_back(cur.GatherRows(batch_locals));
+  std::vector<std::int32_t> active(B);
+  for (std::size_t i = 0; i < B; ++i) active[i] = static_cast<std::int32_t>(i);
 
-    if (l == t_max) {
+  // Exit checks run at depths [t_min, t_max); the first depth anything is
+  // demanded at is the first check, or t_max when no check runs.
+  const int first_demand = use_nap && t_min < t_max ? t_min : t_max;
+  for (int d = first_demand; d <= t_max; ++d) {
+    // Ring d around the active nodes: level j needs its first d - j hops.
+    t0 = Clock::now();
+    while (sampler.radius() < d) sampler.GrowRing();
+    const std::size_t mapped = scratch.rows[0].size();
+    for (std::vector<const float*>& level : scratch.rows) {
+      level.resize(nodes.size(), nullptr);
+    }
+    for (std::size_t v = mapped; v < nodes.size(); ++v) {
+      scratch.rows[0][v] = features_->row(nodes[v]);
+    }
+    stats.sample_time_ms += MsSince(t0);
+
+    // Line 5, for every level up to d: only the rows the check at d reads.
+    auto tf = Clock::now();
+    for (int j = 1; j <= d; ++j) {
+      ExtendLevel(j, sampler.ring_counts()[d - j], scratch, stats);
+    }
+    stats.fp_time_ms += MsSince(tf);
+
+    if (d == t_max) {
       // Lines 16-17: everything still active is predicted by f^(T_max).
       classify(t_max, active);
       break;
     }
-    if (l < t_min || !use_nap) continue;
 
     // Lines 9-13: evaluate the exit criterion on the active nodes.
     auto tn = Clock::now();
-    const tensor::Matrix x_l_active = cur.GatherRows(active);
+    const tensor::Matrix x_l_active = gather(d, active);
     const tensor::Matrix x_inf_active = x_inf.GatherRows(active);
     std::vector<bool> exit_now;
     if (config.nap == NapKind::kDistance) {
@@ -384,7 +386,7 @@ void NaiEngine::InferBatch(const std::vector<std::int32_t>& batch,
       stats.nap_macs +=
           static_cast<std::int64_t>(active.size()) * static_cast<std::int64_t>(f);
     } else {
-      exit_now = gates_->ShouldExit(l, x_l_active, x_inf_active,
+      exit_now = gates_->ShouldExit(d, x_l_active, x_inf_active,
                                     config.gate_bias);
       stats.nap_macs += gates_->DecisionMacs(active.size());
     }
@@ -394,16 +396,17 @@ void NaiEngine::InferBatch(const std::vector<std::int32_t>& batch,
     for (std::size_t i = 0; i < active.size(); ++i) {
       (exit_now[i] ? exited : remaining).push_back(active[i]);
     }
-    classify(l, exited);
+    classify(d, exited);
     active = std::move(remaining);
     if (active.empty()) break;
 
-    if (config.shrink_active_support && !exited.empty()) {
-      // The supporting set for the remaining hops only needs to cover the
-      // still-active nodes' (t_max - l - 1)-hop neighborhoods.
-      rows_to_compute = RadiusBfs(norm_adj_, support.nodes, g2l, active,
-                                  t_max - l - 1, bfs_visited);
-      use_row_list = true;
+    if (!exited.empty()) {
+      // The next check only needs the remaining nodes' neighborhoods:
+      // re-derive the ring around them (rows computed so far stay valid).
+      t0 = Clock::now();
+      sampler.SeedRings(active);
+      std::fill(scratch.done.begin(), scratch.done.end(), 0);
+      stats.sample_time_ms += MsSince(t0);
     }
   }
 }

@@ -34,9 +34,6 @@ struct InferenceConfig {
   int t_min = 1;            ///< minimum propagation depth T_min
   int t_max = 0;            ///< maximum propagation depth T_max (0 = use k)
   std::size_t batch_size = 500;
-  /// Re-derive the supporting set from the still-active nodes after each
-  /// exit round (saves propagation work; disable to ablate).
-  bool shrink_active_support = true;
   /// Maximum number of independent batches executed concurrently on the
   /// engine's thread pool: 1 (or negative) runs batches sequentially (the
   /// default), 0 means one shard per pool thread, n > 1 caps the shards at
@@ -145,11 +142,17 @@ struct EngineOptions {
 /// which builds fresh engines. The classifier bank, gates and quantized
 /// stack are borrowed and must outlive the engine.
 ///
-/// Batches are processed independently: supporting nodes are sampled to
-/// T_max hops, features are propagated hop by hop over the induced
-/// subgraph, and after every hop in [T_min, T_max) the NAP module retires
-/// nodes whose features are smooth enough, which shrinks the remaining
-/// propagation frontier.
+/// Batches are processed independently, on a demand-driven schedule: the
+/// exit check at depth d (d in [T_min, T_max)) only needs X^(d) on the
+/// still-active batch nodes, so before it each level X^(j), j <= d, is
+/// extended to the nodes within d - j hops of those nodes — no further.
+/// The supporting set grows one BFS ring at a time as the checks demand
+/// it, and after exits it is re-derived around the nodes that remain.
+/// Every (level, node) row is computed at most once, by the same per-row
+/// formula as full-graph propagation, so predictions and exit depths do
+/// not depend on the schedule; a batch whose nodes all run to T_max does
+/// exactly the work of fixed-depth T_max propagation, and early exits only
+/// remove rows from it.
 ///
 /// Threading: kernels run on the pool of the engine's ExecContext, and
 /// `InferenceConfig::inter_batch_parallelism` additionally executes the
@@ -180,9 +183,10 @@ class NaiEngine {
   }
 
   /// Classifies `nodes` (global ids in the full graph). Thread-compatible
-  /// but not thread-safe (shared sampler scratch). Throws
-  /// nai::ValidationError when `config.int8_classifier` is set with no
-  /// quantized stack attached.
+  /// but not thread-safe (shared batch scratch). Throws
+  /// nai::ValidationError on an out-of-range node id, or when
+  /// `config.int8_classifier` is set with no quantized stack attached; the
+  /// engine stays usable after either.
   InferenceResult Infer(const std::vector<std::int32_t>& nodes,
                         const InferenceConfig& config);
 
@@ -221,12 +225,43 @@ class NaiEngine {
             std::optional<StationaryState> stationary, const GateStack* gates,
             runtime::ExecContext ctx);
 
+  /// Per-batch working state of the propagation schedule, reused across
+  /// batches so steady-state serving does not reallocate the per-level
+  /// buffers. One per concurrently running batch.
+  struct BatchScratch {
+    explicit BatchScratch(graph::CsrView norm_adj) : sampler(norm_adj) {}
+
+    /// Clears every level for a batch propagating to depth `t_max`
+    /// (capacity is kept).
+    void Reset(int t_max);
+
+    graph::SupportSampler sampler;
+    /// rows[j][local] = X^(j) row of a support node, nullptr until
+    /// computed. Level 0 points into the feature store; level j >= 1 into
+    /// values[j].
+    std::vector<std::vector<const float*>> rows;
+    /// values[j] (j >= 1): the X^(j) rows computed so far, compact, f
+    /// floats each, in the order of computed[j].
+    std::vector<std::vector<float>> values;
+    /// computed[j][s]: the local id whose X^(j) row is row s of values[j].
+    std::vector<std::vector<std::int32_t>> computed;
+    /// done[j]: ring prefix already known to be computed at level j.
+    std::vector<std::int64_t> done;
+    /// The rows one level extension computes.
+    std::vector<std::int32_t> pending;
+  };
+
   void InferBatch(const std::vector<std::int32_t>& batch,
                   const InferenceConfig& config, int t_max,
-                  graph::SupportSampler& sampler,
+                  BatchScratch& scratch,
                   std::vector<std::int32_t>& out_predictions,
                   std::vector<std::int32_t>& out_depths,
                   InferenceStats& stats);
+
+  /// Computes X^(level) on the ring prefix [0, prefix) that is not yet
+  /// computed, from X^(level - 1).
+  void ExtendLevel(int level, std::int64_t prefix, BatchScratch& scratch,
+                   InferenceStats& stats) const;
 
   /// What norm_adj_ (and the stationary view's degrees) point into.
   std::shared_ptr<const void> adjacency_owner_;
@@ -238,7 +273,7 @@ class NaiEngine {
   QuantizedClassifierStack* quantized_ = nullptr;
   const GateStack* gates_;
   runtime::ExecContext ctx_;
-  graph::SupportSampler sampler_;
+  BatchScratch scratch_;
 };
 
 }  // namespace nai::core

@@ -135,18 +135,18 @@ void SpMMRows(const Csr& csr, const tensor::Matrix& dense,
 
 namespace {
 
-void SpMMMappedRow(CsrView global, const std::vector<std::int32_t>& nodes,
+/// One mapped output row: orow = sum over entries (u, w) of global row g of
+/// w * row_of(local of u), entries in global row order.
+template <typename RowOf>
+void SpMMMappedRow(CsrView global, std::int32_t g,
                    const std::vector<std::int32_t>& global_to_local,
-                   const tensor::Matrix& dense_local, std::int64_t r,
-                   const tensor::simd::KernelSet& ks, tensor::Matrix& out) {
-  const std::size_t f = dense_local.cols();
-  float* orow = out.row(r);
+                   RowOf row_of, std::size_t f,
+                   const tensor::simd::KernelSet& ks, float* orow) {
   std::fill(orow, orow + f, 0.0f);
-  const std::int32_t g = nodes[r];
   for (std::int64_t p = global.row_ptr[g]; p < global.row_ptr[g + 1]; ++p) {
     const std::int32_t local = global_to_local[global.col_idx[p]];
     assert(local >= 0 && "neighbor outside the supporting set");
-    ks.axpy(global.values[p], dense_local.row(local), orow, f);
+    ks.axpy(global.values[p], row_of(local), orow, f);
   }
 }
 
@@ -160,30 +160,37 @@ void SpMMMappedPrefix(CsrView global, const std::vector<std::int32_t>& nodes,
   assert(out.rows() == dense_local.rows());
   assert(global.values != nullptr && "mapped SpMM needs a weighted matrix");
   const tensor::simd::KernelSet& ks = tensor::simd::ActiveKernels();
-  ctx.ParallelFor(0, limit, SpMMGrain(global, dense_local.cols()),
+  const std::size_t f = dense_local.cols();
+  const auto row_of = [&](std::int32_t local) {
+    return dense_local.row(local);
+  };
+  ctx.ParallelFor(0, limit, SpMMGrain(global, f),
                   [&](std::size_t r0, std::size_t r1) {
     for (std::size_t r = r0; r < r1; ++r) {
-      SpMMMappedRow(global, nodes, global_to_local, dense_local,
-                    static_cast<std::int64_t>(r), ks, out);
+      SpMMMappedRow(global, nodes[r], global_to_local, row_of, f, ks,
+                    out.row(r));
     }
   });
 }
 
-void SpMMMappedRows(CsrView global, const std::vector<std::int32_t>& nodes,
-                    const std::vector<std::int32_t>& global_to_local,
-                    const tensor::Matrix& dense_local,
-                    const std::vector<std::int32_t>& rows_to_compute,
-                    tensor::Matrix& out, const runtime::ExecContext& ctx) {
+void SpMMMappedGather(CsrView global, const std::vector<std::int32_t>& nodes,
+                      const std::vector<std::int32_t>& global_to_local,
+                      const std::vector<const float*>& src_rows,
+                      const std::vector<std::int32_t>& rows, std::size_t f,
+                      float* out, const runtime::ExecContext& ctx) {
   assert(global.values != nullptr && "mapped SpMM needs a weighted matrix");
   const tensor::simd::KernelSet& ks = tensor::simd::ActiveKernels();
-  ctx.ParallelFor(
-      0, rows_to_compute.size(), SpMMGrain(global, dense_local.cols()),
-      [&](std::size_t i0, std::size_t i1) {
-        for (std::size_t i = i0; i < i1; ++i) {
-          SpMMMappedRow(global, nodes, global_to_local, dense_local,
-                        rows_to_compute[i], ks, out);
-        }
-      });
+  const auto row_of = [&](std::int32_t local) {
+    assert(src_rows[local] != nullptr && "source row not computed");
+    return src_rows[local];
+  };
+  ctx.ParallelFor(0, rows.size(), SpMMGrain(global, f),
+                  [&](std::size_t i0, std::size_t i1) {
+    for (std::size_t i = i0; i < i1; ++i) {
+      SpMMMappedRow(global, nodes[rows[i]], global_to_local, row_of, f, ks,
+                    out + i * f);
+    }
+  });
 }
 
 Csr Transpose(const Csr& csr) {

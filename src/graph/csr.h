@@ -123,23 +123,24 @@ inline void SpMMMappedPrefix(const Csr& global,
                    out, ctx);
 }
 
-/// Row-list variant of SpMMMappedPrefix: recomputes only the listed local
-/// rows.
-void SpMMMappedRows(CsrView global, const std::vector<std::int32_t>& nodes,
-                    const std::vector<std::int32_t>& global_to_local,
-                    const tensor::Matrix& dense_local,
-                    const std::vector<std::int32_t>& rows_to_compute,
-                    tensor::Matrix& out, const runtime::ExecContext& ctx = {});
-inline void SpMMMappedRows(const Csr& global,
-                           const std::vector<std::int32_t>& nodes,
-                           const std::vector<std::int32_t>& global_to_local,
-                           const tensor::Matrix& dense_local,
-                           const std::vector<std::int32_t>& rows_to_compute,
-                           tensor::Matrix& out,
-                           const runtime::ExecContext& ctx = {}) {
-  SpMMMappedRows(global.view(), nodes, global_to_local, dense_local,
-                 rows_to_compute, out, ctx);
-}
+/// Row-list propagation through the same mapping, with each local row's
+/// source values found through a pointer table instead of one dense
+/// matrix. Writes, for each i in [0, rows.size()), the f floats at
+/// out + i * f:
+///
+///   out[i] = sum over entries (u, w) of global row nodes[rows[i]]:
+///              w * src_rows[global_to_local[u]]
+///
+/// — SpMMMappedPrefix's per-row formula (entries in global row order, the
+/// same axpy kernel), so a row's values are bit-identical whichever kernel
+/// computes it. Every neighbor must be mapped to a local with a non-null
+/// source row. Parallel over the listed rows; bit-exact for any thread
+/// count.
+void SpMMMappedGather(CsrView global, const std::vector<std::int32_t>& nodes,
+                      const std::vector<std::int32_t>& global_to_local,
+                      const std::vector<const float*>& src_rows,
+                      const std::vector<std::int32_t>& rows, std::size_t f,
+                      float* out, const runtime::ExecContext& ctx = {});
 
 /// Transpose. O(nnz).
 Csr Transpose(const Csr& csr);

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "gtest/gtest.h"
+#include "src/runtime/error.h"
 #include "src/tensor/ops.h"
 #include "tests/core/core_fixtures.h"
 
@@ -100,22 +101,6 @@ TEST(InferenceTest, ExitsSumToNodeCount) {
                       result.stats.exits_at_depth.end(), std::int64_t{0});
   EXPECT_EQ(total, static_cast<std::int64_t>(w.all_nodes.size()));
   for (const auto p : result.predictions) EXPECT_GE(p, 0);
-}
-
-TEST(InferenceTest, ShrinkTogglePreservesPredictions) {
-  auto w = MakeSmallWorld(4);
-  NaiEngine engine = MakeTestEngine(w);
-  InferenceConfig cfg;
-  cfg.nap = NapKind::kDistance;
-  cfg.threshold = 0.4f;
-  cfg.shrink_active_support = true;
-  const auto with_shrink = engine.Infer(w.all_nodes, cfg);
-  cfg.shrink_active_support = false;
-  const auto without = engine.Infer(w.all_nodes, cfg);
-  EXPECT_EQ(with_shrink.predictions, without.predictions);
-  // Shrinking never increases propagation work.
-  EXPECT_LE(with_shrink.stats.propagation_macs,
-            without.stats.propagation_macs);
 }
 
 TEST(InferenceTest, NapReducesPropagationWork) {
@@ -286,6 +271,62 @@ TEST(InferenceTest, QueryOrderPermutesResultsConsistently) {
     EXPECT_EQ(a.predictions[i], b.predictions[4 - i]) << "node " << fwd[i];
     EXPECT_EQ(a.exit_depths[i], b.exit_depths[4 - i]) << "node " << fwd[i];
   }
+}
+
+void ExpectSameAnswers(const InferenceResult& got, const InferenceResult& want,
+                       const std::string& label) {
+  EXPECT_EQ(got.predictions, want.predictions) << label;
+  EXPECT_EQ(got.exit_depths, want.exit_depths) << label;
+  EXPECT_EQ(got.stats.propagation_macs, want.stats.propagation_macs) << label;
+  EXPECT_EQ(got.stats.exits_at_depth, want.stats.exits_at_depth) << label;
+}
+
+TEST(InferenceTest, AlternatingDepthsMatchFreshEngines) {
+  // One engine's batch scratch serves a shallow class, then a deep one,
+  // then the shallow one again: per-level state sized for one T_max must
+  // never leak into the next batch.
+  auto w = MakeSmallWorld(5);
+  NaiEngine shared = MakeTestEngine(w);
+  InferenceConfig speed;
+  speed.nap = NapKind::kDistance;
+  speed.relative_distance = true;
+  speed.threshold = 0.3f;
+  speed.t_max = 2;
+  InferenceConfig accuracy = speed;
+  accuracy.t_max = 5;
+  accuracy.threshold = 0.1f;
+  const std::vector<std::int32_t> nodes = {3, 40, 77, 150, 199, 260, 333};
+  for (const std::size_t bs : {std::size_t{1}, std::size_t{4}}) {
+    speed.batch_size = bs;
+    accuracy.batch_size = bs;
+    const InferenceResult a = shared.Infer(nodes, speed);
+    const InferenceResult b = shared.Infer(nodes, accuracy);
+    const InferenceResult c = shared.Infer(nodes, speed);
+    NaiEngine fresh_speed = MakeTestEngine(w);
+    NaiEngine fresh_accuracy = MakeTestEngine(w);
+    const InferenceResult want_speed = fresh_speed.Infer(nodes, speed);
+    const std::string at = " bs=" + std::to_string(bs);
+    ExpectSameAnswers(a, want_speed, "speed first" + at);
+    ExpectSameAnswers(b, fresh_accuracy.Infer(nodes, accuracy),
+                      "accuracy" + at);
+    ExpectSameAnswers(c, want_speed, "speed again" + at);
+  }
+}
+
+TEST(InferenceTest, OutOfRangeIdThrowsAndEngineStaysUsable) {
+  auto w = MakeSmallWorld(3, models::ModelKind::kSgc, 200);
+  NaiEngine engine = MakeTestEngine(w);
+  InferenceConfig cfg;
+  cfg.nap = NapKind::kDistance;
+  cfg.threshold = 0.4f;
+  cfg.batch_size = 2;
+  const std::vector<std::int32_t> good = {5, 17, 150, 199};
+  // The bad id sits in the second batch, after one batch has run.
+  EXPECT_THROW(engine.Infer({5, 17, 150, 200}, cfg), nai::ValidationError);
+  EXPECT_THROW(engine.Infer({-1}, cfg), nai::ValidationError);
+  NaiEngine fresh = MakeTestEngine(w);
+  ExpectSameAnswers(engine.Infer(good, cfg), fresh.Infer(good, cfg),
+                    "after throw");
 }
 
 }  // namespace

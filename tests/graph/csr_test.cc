@@ -152,6 +152,29 @@ TEST(CsrTest, SpMMRowsOnlyTouchesListed) {
   }
 }
 
+TEST(CsrTest, SpMMMappedGatherMatchesSpMMRowsBitExactly) {
+  // Listed rows land compactly in list order; each equals the full SpMM
+  // row bit for bit, with sources read through a permuted local mapping.
+  const Csr c = SmallCsr();
+  const tensor::Matrix x = RandomMatrix(3, 5, 11);
+  const std::vector<std::int32_t> nodes = {2, 0, 1};  // local -> global
+  std::vector<std::int32_t> g2l(3);
+  std::vector<const float*> src(3);
+  for (std::int32_t l = 0; l < 3; ++l) {
+    g2l[nodes[l]] = l;
+    src[l] = x.row(nodes[l]);
+  }
+  const std::vector<std::int32_t> rows = {1, 0};  // globals 0, 2
+  tensor::Matrix out(2, 5);
+  out.Fill(-7.0f);
+  SpMMMappedGather(c.view(), nodes, g2l, src, rows, 5, out.data());
+  const tensor::Matrix full = SpMM(c, x);
+  for (std::size_t j = 0; j < 5; ++j) {
+    EXPECT_EQ(out.at(0, j), full.at(0, j));
+    EXPECT_EQ(out.at(1, j), full.at(2, j));
+  }
+}
+
 TEST(CsrTest, TransposeInvolution) {
   const Csr c = SmallCsr();
   const Csr tt = Transpose(Transpose(c));
@@ -232,9 +255,12 @@ TEST(CsrTest, AllSpMMVariantsBitExactAcrossThreadCounts) {
     tensor::Matrix mapped_prefix(n, dense.cols());
     SpMMMappedPrefix(c, nodes, g2l, dense, limit, mapped_prefix);
     out.push_back(std::move(mapped_prefix));
-    tensor::Matrix mapped_rows(n, dense.cols());
-    SpMMMappedRows(c, nodes, g2l, dense, row_list, mapped_rows);
-    out.push_back(std::move(mapped_rows));
+    std::vector<const float*> src(n);
+    for (std::int64_t i = 0; i < n; ++i) src[i] = dense.row(i);
+    tensor::Matrix gathered(row_list.size(), dense.cols());
+    SpMMMappedGather(c.view(), nodes, g2l, src, row_list, dense.cols(),
+                     gathered.data());
+    out.push_back(std::move(gathered));
     return out;
   };
 

@@ -1,11 +1,13 @@
 #include "src/graph/sampler.h"
 
+#include <numeric>
 #include <set>
 
 #include "gtest/gtest.h"
 #include "src/graph/generators.h"
 #include "src/graph/normalize.h"
 #include "src/tensor/ops.h"
+#include "src/runtime/error.h"
 #include "tests/test_util.h"
 
 namespace nai::graph {
@@ -205,6 +207,82 @@ TEST(SamplerTest, MappedResetAcrossBatches) {
   EXPECT_EQ(g2l[1], -1);
   EXPECT_EQ(g2l[10], 0);
   EXPECT_EQ(second.nodes[0], 10);
+}
+
+TEST(SamplerTest, RingGrowthMatchesSampleMapped) {
+  // Seeding the whole batch and growing one ring per hop must reach the
+  // same nodes, local ids and layer counts as the all-at-once BFS —
+  // duplicate batch ids included.
+  GeneratorConfig cfg;
+  cfg.num_nodes = 300;
+  cfg.num_edges = 1100;
+  cfg.seed = 31;
+  const SyntheticDataset ds = GenerateDataset(cfg);
+  const Csr adj = NormalizedAdjacency(ds.graph, 0.5f);
+  SupportSampler rings(adj), whole(adj);
+  for (const std::vector<std::int32_t>& batch :
+       {std::vector<std::int32_t>{4}, std::vector<std::int32_t>{4, 9, 40},
+        std::vector<std::int32_t>{7, 7, 120, 7, 3}}) {
+    for (int depth = 0; depth <= 3; ++depth) {
+      rings.BeginSupport(batch);
+      for (int r = 0; r < depth; ++r) rings.GrowRing();
+      const BatchSupport ref = whole.SampleMapped(batch, depth);
+      EXPECT_EQ(rings.radius(), depth);
+      EXPECT_EQ(rings.support_nodes(), ref.nodes) << "depth " << depth;
+      EXPECT_EQ(rings.ring_counts(), ref.layer_counts) << "depth " << depth;
+      std::vector<std::int32_t> identity(ref.nodes.size());
+      std::iota(identity.begin(), identity.end(), 0);
+      EXPECT_EQ(rings.ring(), identity) << "depth " << depth;
+      for (std::size_t i = 0; i < ref.nodes.size(); ++i) {
+        EXPECT_EQ(rings.global_to_local()[ref.nodes[i]],
+                  whole.global_to_local()[ref.nodes[i]]);
+      }
+    }
+  }
+}
+
+TEST(SamplerTest, ReseededRingCoversSeedNeighborhoodOnly) {
+  // After re-seeding at a subset of the batch, ring r holds exactly the
+  // nodes within r hops of that subset (the support keeps every node
+  // mapped so far, and grows past it where the ring needs to).
+  const Graph g = PathGraph(12);
+  const Csr adj = NormalizedAdjacency(g, 0.5f);
+  SupportSampler sampler(adj), ref(adj);
+  sampler.BeginSupport({0, 11});
+  sampler.GrowRing();
+  sampler.SeedRings({1});  // local 1 = global 11
+  EXPECT_EQ(sampler.ring_counts(), std::vector<std::int64_t>{1});
+  for (int r = 1; r <= 3; ++r) {
+    sampler.GrowRing();
+    std::set<std::int32_t> got;
+    for (const std::int32_t local : sampler.ring()) {
+      got.insert(sampler.support_nodes()[local]);
+    }
+    const BatchSupport want = ref.Sample({11}, r);
+    EXPECT_EQ(got, std::set<std::int32_t>(want.nodes.begin(),
+                                          want.nodes.end()))
+        << "radius " << r;
+    EXPECT_EQ(sampler.ring_counts(), want.layer_counts);
+  }
+  // Nodes near global 0 mapped before the re-seed stay mapped.
+  EXPECT_EQ(sampler.global_to_local()[0], 0);
+  EXPECT_GE(sampler.global_to_local()[1], 0);
+}
+
+TEST(SamplerTest, BeginSupportRejectsBadIdsAndStaysUsable) {
+  const Graph g = CycleGraph(10);
+  const Csr adj = NormalizedAdjacency(g, 0.5f);
+  SupportSampler sampler(adj);
+  sampler.BeginSupport({3});
+  sampler.GrowRing();
+  EXPECT_THROW(sampler.BeginSupport({1, 10}), nai::ValidationError);
+  EXPECT_TRUE(sampler.support_nodes().empty());
+  for (const std::int32_t g2l : sampler.global_to_local()) {
+    EXPECT_EQ(g2l, -1);
+  }
+  sampler.BeginSupport({5});
+  sampler.GrowRing();
+  EXPECT_EQ(sampler.support_nodes(), (std::vector<std::int32_t>{5, 4, 6}));
 }
 
 }  // namespace
