@@ -130,7 +130,7 @@ bool RunExactnessGate(int k) {
   }
   for (const int shards : {1, 2, 4}) {
     core::ShardedNaiEngine engine(
-        mmap_snapshot, graph::MakeShards(mmap_snapshot->adj(), shards, k),
+        mmap_snapshot, graph::MakeShards(mmap_snapshot->adj(), shards),
         classifiers, nullptr);
     engine.AttachQuantizedClassifiers(&quantized);
     char label[32];
@@ -139,7 +139,7 @@ bool RunExactnessGate(int k) {
   }
   {
     core::ShardedNaiEngine identity(
-        mmap_snapshot, graph::IdentityShards(mmap_snapshot->num_nodes(), k),
+        mmap_snapshot, graph::IdentityShards(mmap_snapshot->num_nodes()),
         classifiers, nullptr);
     identity.AttachQuantizedClassifiers(&quantized);
     exact = check("identity (out-of-core)", identity.InferMixed(queries)) &&
@@ -200,10 +200,10 @@ ScaledCell RunScaledCell(std::int64_t num_nodes, std::size_t num_requests,
   core::ClassifierStack classifiers(mc, 7);
   core::QuantizedClassifierStack quantized(classifiers);
 
-  // The out-of-core deployment: one identity shard over the mapped store —
-  // no induced submatrix, no gathered feature copies.
+  // The out-of-core deployment: one shard engine reading the mapped store,
+  // with no gathered feature copies.
   core::ShardedNaiEngine engine(
-      snapshot, graph::IdentityShards(num_nodes, k), classifiers, nullptr,
+      snapshot, graph::IdentityShards(num_nodes), classifiers, nullptr,
       /*use_stationary=*/true, threads);
   engine.AttachQuantizedClassifiers(&quantized);
   serve::ServingOptions options;

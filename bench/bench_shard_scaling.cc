@@ -2,18 +2,18 @@
 // deployment served unsharded and from {1, 2, 4, 8} graph shards, each
 // shard on its own thread-pool slice, with inter-batch parallelism filling
 // every slice on both sides (so the comparison is core-for-core fair).
-// Reports the partition build cost, halo overhead (how much of each shard
-// is replicated neighborhood), NAId and vanilla serving latency per shard
-// count, and verifies that every sharded run predicts bit-identically to
-// the unsharded engine.
+// A shard owns a range of nodes and serves them with an engine over the
+// whole graph snapshot, so building a sharded engine copies no graph data.
+// Reports the sharded engine's build cost, NAId and vanilla serving latency
+// per shard count, and verifies that every sharded run predicts
+// bit-identically to the unsharded engine.
 //
-// What sharding buys is *isolation* — disjoint pools, zero cross-shard
-// traffic, per-shard admission — not single-stream latency: this bench
-// quantifies its price on one mixed query stream. Two costs grow with the
-// shard count: the halo fraction (boundary neighborhoods replicated into
-// each shard), and the batch split (queries co-batched in the unsharded
-// engine land in different shards, so shared supporting-set work is
-// recomputed per shard — visible as the propagation-MAC ratio).
+// What sharding buys is *isolation* — disjoint pools, per-shard admission —
+// not single-stream latency: this bench quantifies its price on one mixed
+// query stream. The cost that grows with the shard count is the batch
+// split: queries co-batched in the unsharded engine land in different
+// shards, so shared supporting-set work is recomputed per shard — visible
+// as the propagation-MAC ratio.
 
 #include <chrono>
 #include <cstdio>
@@ -66,25 +66,14 @@ int main(int argc, char** argv) {
   std::printf("unsharded:  NAId %.1f ms   SGC %.1f ms\n",
               ref_naid.row.time_ms, ref_vanilla.row.time_ms);
 
-  std::printf("\n%-7s %-9s %-10s %-10s %-12s %-12s %-12s %s\n", "shards",
-              "thr/shard", "halo %", "build ms", "NAId ms", "SGC ms",
-              "prop-MACs x", "exact?");
+  std::printf("\n%-7s %-9s %-10s %-12s %-12s %-12s %s\n", "shards",
+              "thr/shard", "build ms", "NAId ms", "SGC ms", "prop-MACs x",
+              "exact?");
   for (const int num_shards : {1, 2, 4, 8}) {
     if (num_shards > ds.data.graph.num_nodes()) break;
     const auto build_start = Clock::now();
     auto sharded = eval::MakeShardedEngine(pipeline, ds, num_shards);
     const double build_ms = MsSince(build_start);
-
-    std::int64_t shard_nodes = 0, halo_nodes = 0;
-    for (const auto& shard : sharded->sharded_graph().shards) {
-      shard_nodes += static_cast<std::int64_t>(shard.nodes.size());
-      halo_nodes += shard.num_halo();
-    }
-    const double halo_pct =
-        shard_nodes == 0
-            ? 0.0
-            : 100.0 * static_cast<double>(halo_nodes) /
-                  static_cast<double>(shard_nodes);
 
     const eval::MethodResult naid =
         eval::RunShardedNai(*sharded, ds, test, naid_cfg, "NAId");
@@ -98,8 +87,8 @@ int main(int argc, char** argv) {
     const double prop_ratio = bench::Ratio(
         static_cast<double>(naid.stats.propagation_macs),
         static_cast<double>(ref_naid.stats.propagation_macs));
-    std::printf("%-7d %-9d %-10.1f %-10.1f %-12.1f %-12.1f %-12.2f %s\n",
-                num_shards, sharded->threads_per_shard(), halo_pct, build_ms,
+    std::printf("%-7d %-9d %-10.1f %-12.1f %-12.1f %-12.2f %s\n",
+                num_shards, sharded->threads_per_shard(), build_ms,
                 naid.row.time_ms, vanilla.row.time_ms, prop_ratio,
                 exact ? "yes" : "NO — MISMATCH");
     if (!exact) return 1;

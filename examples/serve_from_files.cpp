@@ -111,14 +111,13 @@ int main(int argc, char** argv) {
 
   // --- Optional: shard the restored deployment (--shards N). ---------------
   // The same checkpointed artifacts serve from a partitioned graph: each
-  // shard holds an induced subgraph with a k-hop halo and its own thread
-  // pool, and the merged predictions must stay bit-identical.
+  // shard owns a range of nodes and serves them from the whole snapshot on
+  // its own thread pool, and the merged predictions must stay bit-identical.
   std::size_t sharded_agree = a.predictions.size();
   if (num_shards > 1) {
     core::ShardedNaiEngine sharded(
         snapshot,
-        graph::MakeShards(snapshot->adj(), num_shards,
-                          pipeline.model_config.depth),
+        graph::MakeShards(snapshot->adj(), num_shards),
         restored_cls, &restored_gates);
     const auto c = sharded.Infer(ds.split.test_nodes, icfg);
     sharded_agree = 0;

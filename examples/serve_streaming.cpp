@@ -135,11 +135,10 @@ int main(int argc, char** argv) {
 
   // What the scheduler did: cross-shard steals, controller sheds, and the
   // per-shard adaptation state the controller converged to.
-  std::printf("\nscheduler: %lld batches stolen (%lld requests, %lld via "
-              "owner fallback), %lld adaptive sheds\n",
+  std::printf("\nscheduler: %lld batches stolen (%lld requests), %lld "
+              "adaptive sheds\n",
               static_cast<long long>(stats.stolen_batches),
               static_cast<long long>(stats.stolen_requests),
-              static_cast<long long>(stats.steal_fallback_requests),
               static_cast<long long>(stats.shed_adaptive));
   for (const serve::SchedulerShardSnapshot& shard : stats.scheduler) {
     std::printf("  shard %zu: arrival %.0f q/s, service %.0f q/s, window "

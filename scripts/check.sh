@@ -3,8 +3,8 @@
 # runs invoke exactly the same commands:
 #
 #   release   Plain Release configure + build + full CTest run, then the
-#             benchmark driver's self-test and a 3 s exactness-gated
-#             mixed_closed run.
+#             benchmark driver's self-test and 3 s exactness-gated
+#             mixed_closed and churn_open runs.
 #   asan      Release + ASan/UBSan build, full CTest run, then a
 #             NAI_THREADS=1 serial-path pass of the threading-sensitive
 #             suites.
@@ -61,6 +61,10 @@ stage_release() {
   # A short engine-bound run: exits 1 if any served answer differs from a
   # direct Infer of the same node and config.
   "${BUILD_DIR}-perfbench/nai_perfbench" --workload mixed_closed --seed 1 \
+    --seconds 3 --trace 0
+  # Snapshot swaps, steals and cache-epoch bumps under traffic, with the
+  # same served-vs-direct exactness gate.
+  "${BUILD_DIR}-perfbench/nai_perfbench" --workload churn_open --seed 1 \
     --seconds 3 --trace 0
 }
 

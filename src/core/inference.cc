@@ -69,29 +69,21 @@ NaiEngine NaiEngine::FromSnapshot(
   if (snapshot == nullptr) {
     throw ValidationError("NaiEngine: null snapshot");
   }
-  std::optional<StationaryState> stationary;
-  if (options.use_stationary) stationary = BuildStationary(*snapshot);
-  NaiEngine engine(snapshot->graph_store, snapshot->norm_adj(),
-                   snapshot->feature_store, classifiers, std::move(stationary),
-                   options.gates, options.ctx);
-  engine.AttachQuantizedClassifiers(options.quantized);
-  return engine;
+  return NaiEngine(std::move(snapshot), classifiers, options);
 }
 
-NaiEngine::NaiEngine(std::shared_ptr<const void> adjacency_owner,
-                     graph::CsrView norm_adj,
-                     std::shared_ptr<const storage::FeatureStore> features,
+NaiEngine::NaiEngine(std::shared_ptr<const graph::GraphSnapshot> snapshot,
                      ClassifierStack& classifiers,
-                     std::optional<StationaryState> stationary,
-                     const GateStack* gates, runtime::ExecContext ctx)
-    : adjacency_owner_(std::move(adjacency_owner)),
-      norm_adj_(norm_adj),
-      features_(std::move(features)),
-      stationary_(std::move(stationary)),
+                     const EngineOptions& options)
+    : snapshot_(std::move(snapshot)),
+      norm_adj_(snapshot_->norm_adj()),
       classifiers_(&classifiers),
-      gates_(gates),
-      ctx_(ctx),
-      scratch_(norm_adj_) {}
+      quantized_(options.quantized),
+      gates_(options.gates),
+      ctx_(options.ctx),
+      scratch_(norm_adj_) {
+  if (options.use_stationary) stationary_ = BuildStationary(*snapshot_);
+}
 
 InferenceResult NaiEngine::Infer(const std::vector<std::int32_t>& nodes,
                                  const InferenceConfig& config) {
@@ -261,7 +253,7 @@ void NaiEngine::ExtendLevel(int level, std::int64_t prefix,
 
   // Append exactly the new rows; when that moves the buffer, re-point the
   // rows already computed.
-  const std::size_t f = features_->dim();
+  const std::size_t f = snapshot_->feature_dim();
   std::vector<float>& values = scratch.values[level];
   std::vector<std::int32_t>& computed = scratch.computed[level];
   const float* old_base = values.data();
@@ -288,7 +280,7 @@ void NaiEngine::InferBatch(const std::vector<std::int32_t>& batch,
                            std::vector<std::int32_t>& out_predictions,
                            std::vector<std::int32_t>& out_depths,
                            InferenceStats& stats) {
-  const std::size_t f = features_->dim();
+  const std::size_t f = snapshot_->feature_dim();
   const std::size_t B = batch.size();
   const int t_min = std::clamp(config.t_min, 1, t_max);
   const bool use_nap = config.nap != NapKind::kNone;
@@ -358,7 +350,7 @@ void NaiEngine::InferBatch(const std::vector<std::int32_t>& batch,
       level.resize(nodes.size(), nullptr);
     }
     for (std::size_t v = mapped; v < nodes.size(); ++v) {
-      scratch.rows[0][v] = features_->row(nodes[v]);
+      scratch.rows[0][v] = snapshot_->feature_store->row(nodes[v]);
     }
     stats.sample_time_ms += MsSince(t0);
 

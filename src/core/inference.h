@@ -50,9 +50,7 @@ struct InferenceConfig {
 
   /// The depth the engine actually propagates to for a classifier bank of
   /// depth `k` (t_max = 0 means "use k"; larger values clamp to k). The one
-  /// resolution rule shared by NaiEngine and ShardedNaiEngine — the latter's
-  /// halo-sufficiency check must validate exactly the depth the shard
-  /// engines will BFS with.
+  /// resolution rule shared by NaiEngine and ShardedNaiEngine.
   int effective_t_max(int k) const {
     return t_max <= 0 || t_max > k ? k : t_max;
   }
@@ -202,28 +200,14 @@ class NaiEngine {
   InferenceResult InferMixed(const std::vector<ConfiguredQuery>& queries);
 
   /// View of the normalized adjacency the engine propagates over (points
-  /// into the snapshot's store or a shard engine's own submatrix).
+  /// into the snapshot's store).
   graph::CsrView norm_adj() const { return norm_adj_; }
 
   const runtime::ExecContext& exec_context() const { return ctx_; }
 
  private:
-  friend class ShardedNaiEngine;
-
-  /// `norm_adj` is kept alive by `adjacency_owner`; `features` rows and
-  /// `stationary` node ids are in its id space. FromSnapshot passes the
-  /// snapshot's stores. ShardedNaiEngine passes a shard's induced
-  /// submatrix of the *full graph's* normalized adjacency, so edge weights
-  /// reflect global degrees (re-normalizing the induced subgraph would
-  /// distort halo-boundary weights and break bit-exactness with the
-  /// unsharded engine), and a storage::SlicedFeatureStore over the
-  /// snapshot's feature store, so shards never gather private copies.
-  NaiEngine(std::shared_ptr<const void> adjacency_owner,
-            graph::CsrView norm_adj,
-            std::shared_ptr<const storage::FeatureStore> features,
-            ClassifierStack& classifiers,
-            std::optional<StationaryState> stationary, const GateStack* gates,
-            runtime::ExecContext ctx);
+  NaiEngine(std::shared_ptr<const graph::GraphSnapshot> snapshot,
+            ClassifierStack& classifiers, const EngineOptions& options);
 
   /// Per-batch working state of the propagation schedule, reused across
   /// batches so steady-state serving does not reallocate the per-level
@@ -263,10 +247,9 @@ class NaiEngine {
   void ExtendLevel(int level, std::int64_t prefix, BatchScratch& scratch,
                    InferenceStats& stats) const;
 
-  /// What norm_adj_ (and the stationary view's degrees) point into.
-  std::shared_ptr<const void> adjacency_owner_;
+  /// Keeps the stores norm_adj_ and the feature rows point into alive.
+  std::shared_ptr<const graph::GraphSnapshot> snapshot_;
   graph::CsrView norm_adj_;
-  std::shared_ptr<const storage::FeatureStore> features_;
   /// X^(∞) rows for NAP decisions; empty for NapKind::kNone-only serving.
   std::optional<StationaryState> stationary_;
   ClassifierStack* classifiers_;

@@ -18,25 +18,12 @@ namespace nai::core {
 /// shard, each with a dedicated thread pool (an equal slice of the total),
 /// queries routed to their owning shard and all shards running concurrently.
 ///
-/// Each shard engine sees only its shard's nodes — an induced subgraph with
-/// a halo of every node within ShardedGraph::halo_hops hops of an owned
-/// node — so its supporting-set BFS never leaves the shard. Three
-/// constructions make the merged result match the unsharded engine exactly:
-///   * shard adjacencies are submatrices of the *full graph's* normalized
-///     adjacency, so edge weights use global degrees;
-///   * shard node lists are sorted by global id, so each row's neighbors
-///     accumulate in the same order as in the full graph;
-///   * shard stationary views reuse the full graph's pooled vector and the
-///     shard-local degrees of owned nodes (equal to global degrees when
-///     halo_hops >= 1).
-///
-/// Shard feature access goes through storage::SlicedFeatureStore over the
-/// snapshot's feature store, so shards never gather private feature
-/// copies — over an mmap-backed snapshot the whole sharded engine's feature
-/// working set is pages of the one shared file. The degenerate
-/// graph::IdentityShards partition short-circuits further: its single shard
-/// engine is built straight on the snapshot (no induced submatrix at all),
-/// which is the out-of-core serving configuration.
+/// A shard is an ownership set, not a subgraph. Every shard engine is built
+/// with NaiEngine::FromSnapshot over the one snapshot, so it is the
+/// unsharded engine: it reads adjacency and features through the
+/// snapshot's (possibly memory-mapped) stores, local ids are global ids,
+/// and any shard engine can serve any node. No shard holds a private copy
+/// of the graph, the features or the normalized adjacency.
 ///
 /// Determinism contract (bit-exact, any shard count, any thread count):
 /// predictions, exit depths, the exit histogram and the nap/stationary/
@@ -54,39 +41,34 @@ namespace nai::core {
 /// per-shard values describe sub-runs and are never summed).
 ///
 /// Evolving graphs: everything derived from one graph version — the
-/// sharding, halo depths, per-shard feature/stationary views and the shard
-/// engines themselves — lives in one immutable ShardState behind a
-/// shared_ptr. SwapSnapshot(new_snapshot) builds the replacement state off
-/// the serving path and publishes it atomically, so readers that pinned
-/// the old state finish their batch on the graph version they started with
-/// while new batches see the new one. Serving never pauses; the old state is
-/// reclaimed when its last pinned reader drops it. Thread pools persist
-/// across swaps (they carry no graph state).
+/// sharding and the shard engines — lives in one immutable ShardState
+/// behind a shared_ptr. SwapSnapshot(new_snapshot) builds the replacement
+/// state off the serving path and publishes it atomically, so readers that
+/// pinned the old state finish their batch on the graph version they
+/// started with while new batches see the new one. Serving never pauses;
+/// the old state is reclaimed when its last pinned reader drops it. Thread
+/// pools persist across swaps (they carry no graph state).
 class ShardedNaiEngine {
  public:
   /// Everything derived from one graph version. Immutable after
   /// construction and shared by pin; the engine's own entry points pin it
   /// once per call, and the serving front-end pins one state per batch so
-  /// a batch's steal check and engine call agree on the version.
+  /// a whole batch runs on one graph version.
   struct ShardState {
     /// The snapshot this state was built from.
     std::shared_ptr<const graph::GraphSnapshot> snapshot;
     /// Graph version served by this state (snapshot->version).
     std::uint64_t version = 0;
+    /// The owner map queries route by; perfbench/nai_perfbench.cc reads it.
     graph::ShardedGraph sharded;
-    /// halo_depth[s][local] = hop distance of shard s's local node from
-    /// the shard's owned set (0 = owned, halo_hops = outermost ring) — the
-    /// steal-path eligibility data of CanServeFromShard, rebuilt with the
-    /// state because a delta can change shard halos.
-    std::vector<std::vector<std::int32_t>> halo_depth;
-    /// Full-graph feature store the shard slices read through (the
-    /// snapshot's store).
+    /// The snapshot's feature store. Kept because
+    /// perfbench/nai_perfbench.cc reads it.
     std::shared_ptr<const storage::FeatureStore> base_features;
-    /// Per-shard row-remapped views of base_features (null for empty and
-    /// identity shards), shared with the shard engines.
+    /// One null entry per shard (shard engines read base_features). Kept
+    /// because perfbench/nai_perfbench.cc reads it.
     std::vector<std::shared_ptr<const storage::FeatureStore>> shard_features;
-    /// Declared after `sharded`: the shard engines' stationary views read
-    /// degrees from the shard graphs.
+    /// One FromSnapshot engine per owning shard (null for empty shards);
+    /// perfbench/nai_perfbench.cc reads it.
     std::vector<std::unique_ptr<NaiEngine>> engines;
   };
 
@@ -109,8 +91,8 @@ class ShardedNaiEngine {
   /// current graph: node count can only grow, and existing owners never
   /// move). New nodes are assigned to the shard owning the
   /// majority of their already-assigned neighbors (ties to the lowest
-  /// shard id; isolated nodes round-robin by id), the halos, per-shard
-  /// views and shard engines are rebuilt off the serving path, and the new
+  /// shard id; isolated nodes round-robin by id), the shard engines are
+  /// rebuilt over the new snapshot off the serving path, and the new
   /// state is published in one pointer swap. In-flight readers keep the
   /// state they pinned; there is no pause. Safe to call concurrently with
   /// Infer/InferMixed; concurrent SwapSnapshot calls serialize. Throws
@@ -127,9 +109,8 @@ class ShardedNaiEngine {
 
   /// Classifies `nodes` (global ids). Thread-compatible but not
   /// thread-safe, like NaiEngine::Infer. Pins one state for the whole
-  /// call. Throws nai::ValidationError when the effective T_max exceeds
-  /// halo_hops (the shards cannot support a deeper BFS) and
-  /// std::out_of_range for query ids outside the graph.
+  /// call. Throws nai::ValidationError when ValidateConfig rejects
+  /// `config` and std::out_of_range for query ids outside the graph.
   InferenceResult Infer(const std::vector<std::int32_t>& nodes,
                         const InferenceConfig& config);
 
@@ -152,42 +133,19 @@ class ShardedNaiEngine {
     return quantized_;
   }
 
-  /// Checks that this engine's shards can serve `config`: its effective
-  /// T_max must not exceed halo_hops (the shard BFS would leave the shard).
-  /// Throws nai::ValidationError otherwise. Infer/InferMixed call this on
-  /// every config; the serving front-end calls it once per QoS policy at
+  /// Checks that this engine can serve `config`: a config that requests
+  /// the int8 classifier needs an attached quantized stack. Throws
+  /// nai::ValidationError otherwise. Infer/InferMixed call this on every
+  /// config; the serving front-end calls it once per QoS policy at
   /// construction, because it bypasses the routed entry points and pumps
   /// the shard engines directly.
   void ValidateConfig(const InferenceConfig& config) const;
-
-  /// True when shard `s` can serve global node `v` under `config` with
-  /// results bit-identical to routing through v's owner — the steal-path
-  /// check of the serving scheduler. Trivially true when s owns v.
-  /// Otherwise v must sit deep enough inside s's halo that the whole
-  /// T-hop supporting BFS (T = effective T_max, at least 1 so v's own
-  /// degree-dependent quantities are exact) stays inside the shard *and*
-  /// every adjacency row it aggregates is complete:
-  ///   halo_depth(v) + max(1, T) <= halo_hops,
-  /// where halo_depth(v) is v's hop distance from s's owned set (0 for
-  /// owned nodes). Rows of nodes strictly inside the halo are exact
-  /// submatrix rows of the global normalized adjacency in global-id
-  /// order, which is what makes the thief's answer bit-identical (see the
-  /// class determinism contract). False for shards that own no nodes
-  /// (they have no engine) and for nodes outside the shard; throws
-  /// std::out_of_range for nodes outside the graph. The `state` overload
-  /// evaluates against a pinned state so a steal check and the engine
-  /// call it gates agree on the graph version.
-  bool CanServeFromShard(std::size_t s, std::int32_t v,
-                         const InferenceConfig& config) const;
-  bool CanServeFromShard(const ShardState& state, std::size_t s,
-                         std::int32_t v, const InferenceConfig& config) const;
 
   /// The classifier bank's depth k — the deepest T_max any config can
   /// resolve to (InferenceConfig::effective_t_max).
   int depth() const { return classifiers_->depth(); }
 
   std::size_t num_shards() const { return num_shards_; }
-  int halo_hops() const { return halo_hops_; }
   int threads_per_shard() const { return threads_per_shard_; }
   /// The current state's sharding. The reference stays valid until the
   /// next SwapSnapshot; callers that must stay consistent across swaps pin
@@ -216,7 +174,6 @@ class ShardedNaiEngine {
   const GateStack* gates_;
   bool use_stationary_;
   std::size_t num_shards_;
-  int halo_hops_;
   int threads_per_shard_;
   /// One pool per owning shard, created on first need and persistent
   /// across swaps: engines of successive states share their shard's pool,

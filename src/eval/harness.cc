@@ -140,14 +140,10 @@ std::unique_ptr<core::NaiEngine> MakeEngine(TrainedPipeline& pipeline,
 
 std::unique_ptr<core::ShardedNaiEngine> MakeShardedEngine(
     TrainedPipeline& pipeline, const PreparedDataset& ds, int num_shards,
-    int halo_hops, int total_threads) {
-  const int halo =
-      halo_hops > 0 ? halo_hops : pipeline.model_config.depth;
+    int total_threads) {
   std::shared_ptr<const graph::GraphSnapshot> snapshot =
       MakeStoreSnapshot(pipeline, ds);
-  graph::ShardedGraph sharded =
-      num_shards == 1 ? graph::IdentityShards(snapshot->num_nodes(), halo)
-                      : graph::MakeShards(snapshot->adj(), num_shards, halo);
+  graph::ShardedGraph sharded = graph::MakeShards(snapshot->adj(), num_shards);
   auto engine = std::make_unique<core::ShardedNaiEngine>(
       std::move(snapshot), std::move(sharded), *pipeline.classifiers,
       pipeline.gates.get(), /*use_stationary=*/true, total_threads);

@@ -86,15 +86,14 @@ std::unique_ptr<core::NaiEngine> MakeEngine(
 /// Builds the sharded serving engine (`--shards` flag path) over a
 /// MakeStoreSnapshot snapshot, so NAI_STORE / --store picks the storage
 /// backend and the engine (and a ServingEngine over it) accepts
-/// SwapSnapshot / ApplyDeltas. One shard serves through the identity
-/// partition; more partition the full graph into `num_shards` balanced
-/// shards with a `halo_hops`-hop halo (0 = the pipeline's depth k, the
-/// deepest T_max the engine can serve). Each shard gets an equal slice of
-/// `total_threads` (<= 0 = default-pool size). Results are bit-identical
-/// to MakeEngine's (see core::ShardedNaiEngine).
+/// SwapSnapshot / ApplyDeltas. The nodes are split into `num_shards`
+/// balanced ownership ranges, each served by an engine over the whole
+/// snapshot. Each shard gets an equal slice of `total_threads` (<= 0 =
+/// default-pool size). Results are bit-identical to MakeEngine's (see
+/// core::ShardedNaiEngine).
 std::unique_ptr<core::ShardedNaiEngine> MakeShardedEngine(
     TrainedPipeline& pipeline, const PreparedDataset& ds, int num_shards,
-    int halo_hops = 0, int total_threads = 0);
+    int total_threads = 0);
 
 /// Deterministic update-churn generator: `num_deltas` batches against a
 /// base graph of `base_nodes` nodes and `feature_dim`-wide features. Each

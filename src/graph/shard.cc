@@ -10,75 +10,26 @@ namespace nai::graph {
 
 namespace {
 
-/// Builds one shard from its owned set: halo BFS over the full adjacency,
-/// sorted node list, id maps, induced subgraph. `visited` is caller scratch
-/// sized num_nodes, all zero on entry and restored to all zero on exit.
-GraphShard BuildShard(CsrView adj, std::vector<std::int32_t> owned,
-                      int halo_hops, std::vector<char>& visited) {
-  GraphShard shard;
-  shard.owned = std::move(owned);
-
-  std::vector<std::int32_t> reached = shard.owned;
-  for (const std::int32_t v : reached) visited[v] = 1;
-  std::size_t frontier_begin = 0;
-  for (int hop = 0; hop < halo_hops; ++hop) {
-    const std::size_t frontier_end = reached.size();
-    for (std::size_t i = frontier_begin; i < frontier_end; ++i) {
-      const std::int32_t v = reached[i];
-      for (std::int64_t p = adj.row_ptr[v]; p < adj.row_ptr[v + 1]; ++p) {
-        const std::int32_t u = adj.col_idx[p];
-        if (!visited[u]) {
-          visited[u] = 1;
-          reached.push_back(u);
-        }
-      }
-    }
-    frontier_begin = frontier_end;
-  }
-  for (const std::int32_t v : reached) visited[v] = 0;
-
-  std::sort(reached.begin(), reached.end());
-  shard.nodes = std::move(reached);
-  shard.global_to_local.assign(adj.rows, -1);
-  for (std::size_t i = 0; i < shard.nodes.size(); ++i) {
-    shard.global_to_local[shard.nodes[i]] = static_cast<std::int32_t>(i);
-  }
-  shard.graph =
-      Graph::FromCsr(InducedSubmatrix(adj, shard.nodes, shard.global_to_local));
-  return shard;
-}
-
-ShardedGraph BuildSharded(CsrView adj, std::vector<std::int32_t> owner,
-                          std::int32_t num_shards, int halo_hops) {
+ShardedGraph BuildSharded(std::vector<std::int32_t> owner,
+                          std::int32_t num_shards) {
   ShardedGraph sharded;
-  sharded.halo_hops = halo_hops;
   sharded.owner = std::move(owner);
-
-  std::vector<std::vector<std::int32_t>> owned(num_shards);
-  for (std::int64_t v = 0; v < adj.rows; ++v) {
-    owned[sharded.owner[v]].push_back(static_cast<std::int32_t>(v));
+  const std::int64_t n = static_cast<std::int64_t>(sharded.owner.size());
+  sharded.shards.resize(num_shards);
+  for (std::int64_t v = 0; v < n; ++v) {
+    sharded.shards[sharded.owner[v]].owned.push_back(
+        static_cast<std::int32_t>(v));
   }
-
-  std::vector<char> visited(adj.rows, 0);
-  sharded.shards.reserve(num_shards);
-  for (std::int32_t s = 0; s < num_shards; ++s) {
-    sharded.shards.push_back(
-        BuildShard(adj, std::move(owned[s]), halo_hops, visited));
+  for (GraphShard& shard : sharded.shards) {
+    shard.global_to_local.resize(n);
+    std::iota(shard.global_to_local.begin(), shard.global_to_local.end(), 0);
   }
   return sharded;
 }
 
-void ValidateHalo(int halo_hops) {
-  if (halo_hops < 0) {
-    throw ValidationError("MakeShards: halo_hops must be >= 0, got " +
-                          std::to_string(halo_hops));
-  }
-}
-
 }  // namespace
 
-ShardedGraph MakeShards(CsrView adj, int num_shards, int halo_hops) {
-  ValidateHalo(halo_hops);
+ShardedGraph MakeShards(CsrView adj, int num_shards, int /*unused*/) {
   const std::int64_t n = adj.rows;
   if (n == 0) {
     throw ValidationError("MakeShards: graph has no nodes");
@@ -102,12 +53,10 @@ ShardedGraph MakeShards(CsrView adj, int num_shards, int halo_hops) {
       owner[v++] = s;
     }
   }
-  return BuildSharded(adj, std::move(owner), num_shards, halo_hops);
+  return BuildSharded(std::move(owner), num_shards);
 }
 
-ShardedGraph MakeShards(CsrView adj, std::vector<std::int32_t> owner,
-                        int halo_hops) {
-  ValidateHalo(halo_hops);
+ShardedGraph MakeShards(CsrView adj, std::vector<std::int32_t> owner) {
   const std::int64_t n = adj.rows;
   if (n == 0) {
     throw ValidationError("MakeShards: graph has no nodes");
@@ -124,28 +73,15 @@ ShardedGraph MakeShards(CsrView adj, std::vector<std::int32_t> owner,
     }
     max_owner = std::max(max_owner, s);
   }
-  return BuildSharded(adj, std::move(owner), max_owner + 1, halo_hops);
+  return BuildSharded(std::move(owner), max_owner + 1);
 }
 
-ShardedGraph IdentityShards(std::int64_t num_nodes, int halo_hops) {
-  ValidateHalo(halo_hops);
+ShardedGraph IdentityShards(std::int64_t num_nodes, int /*unused*/) {
   if (num_nodes < 1) {
     throw ValidationError("IdentityShards: num_nodes must be >= 1, got " +
                           std::to_string(num_nodes));
   }
-  ShardedGraph sharded;
-  sharded.halo_hops = halo_hops;
-  sharded.owner.assign(num_nodes, 0);
-  GraphShard shard;
-  shard.owned.resize(num_nodes);
-  std::iota(shard.owned.begin(), shard.owned.end(), 0);
-  shard.nodes = shard.owned;
-  shard.global_to_local = shard.owned;  // identity mapping
-  // shard.graph intentionally left empty: the single shard is the whole
-  // graph, and consumers (ShardedNaiEngine's snapshot fast path) read the
-  // global adjacency instead of a copy.
-  sharded.shards.push_back(std::move(shard));
-  return sharded;
+  return BuildSharded(std::vector<std::int32_t>(num_nodes, 0), 1);
 }
 
 }  // namespace nai::graph

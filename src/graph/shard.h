@@ -2,56 +2,35 @@
 #define NAI_GRAPH_SHARD_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "src/graph/graph.h"
 
 namespace nai::graph {
 
-/// One serving shard of a partitioned graph: the nodes it owns, plus a halo
-/// of every node within `ShardedGraph::halo_hops` hops of an owned node.
+/// One serving shard of a partitioned graph: the set of nodes it owns.
 ///
-/// The halo is what makes shards self-sufficient for inference: the
-/// supporting-set BFS of Algorithm 1 walks at most T_max hops from a query
-/// node, so as long as T_max <= halo_hops and queries are routed to their
-/// owning shard, the BFS never needs a node outside the shard.
-///
-/// Local ids are positions in `nodes`, which is sorted by global id. Because
-/// the ordering is monotone, the induced adjacency keeps each row's
-/// neighbors in the same relative order as the full graph — the property
-/// that makes sharded propagation bit-identical to unsharded (float
-/// accumulation order per row is preserved).
+/// A shard is an ownership set, not a subgraph. Queries route to the shard
+/// owning their node, and every shard engine serves the whole graph
+/// snapshot, reading each query's supporting set on demand — so a shard
+/// needs no halo and no private copy of its neighborhood, and local ids
+/// are global ids.
 struct GraphShard {
   /// Global ids owned by this shard (sorted). Queries route here.
   std::vector<std::int32_t> owned;
-  /// Global ids present in the shard: owned plus halo (sorted).
-  std::vector<std::int32_t> nodes;
-  /// global id -> local id in `nodes`; -1 when absent. Sized to the full
-  /// graph's node count.
+  /// The identity map over the full graph (global id -> itself). Kept
+  /// because perfbench/nai_perfbench.cc reads it.
   std::vector<std::int32_t> global_to_local;
-  /// Subgraph induced on `nodes` (local node i is nodes[i] globally).
-  /// Note: halo-boundary nodes lose their out-of-shard edges here, so their
-  /// *local* degree undercounts the global one; owned nodes keep all
-  /// neighbors whenever halo_hops >= 1. Shards built by IdentityShards
-  /// leave this empty (the shard IS the full graph — consumers use the
-  /// global adjacency instead of a materialized copy).
-  Graph graph;
 
   std::int64_t num_owned() const {
     return static_cast<std::int64_t>(owned.size());
   }
-  std::int64_t num_halo() const {
-    return static_cast<std::int64_t>(nodes.size() - owned.size());
-  }
-  bool contains(std::int32_t global_id) const {
-    return global_to_local[global_id] >= 0;
-  }
 };
 
-/// A disjoint partition of a graph's nodes into shards with overlapping
-/// halos. Owned sets partition V; `owner[v]` names v's shard.
+/// A disjoint partition of a graph's nodes into shards. Owned sets
+/// partition V; `owner[v]` names v's shard.
 struct ShardedGraph {
-  int halo_hops = 0;
   /// owner[v] = shard owning global node v (size = num_nodes of the source).
   std::vector<std::int32_t> owner;
   std::vector<GraphShard> shards;
@@ -59,17 +38,16 @@ struct ShardedGraph {
   std::size_t num_shards() const { return shards.size(); }
 };
 
-/// Partitions the graph behind `adj` (raw symmetric adjacency, any storage
-/// backend; values ignored) into `num_shards` balanced contiguous ranges of
-/// node ids (sizes differ by at most one) and builds each shard's
-/// halo_hops-hop halo by BFS over the full adjacency.
+/// Partitions the nodes of the graph behind `adj` (any storage backend;
+/// only its node count is read) into `num_shards` balanced contiguous
+/// ranges of node ids (sizes differ by at most one). The trailing int is
+/// ignored; it is kept so the calls in perfbench/nai_perfbench.cc compile.
 ///
 /// Throws nai::ValidationError when num_shards < 1, num_shards exceeds the
-/// node count, halo_hops < 0, or the graph is empty.
-ShardedGraph MakeShards(CsrView adj, int num_shards, int halo_hops);
-inline ShardedGraph MakeShards(const Graph& graph, int num_shards,
-                               int halo_hops) {
-  return MakeShards(graph.adjacency().view(), num_shards, halo_hops);
+/// node count, or the graph is empty.
+ShardedGraph MakeShards(CsrView adj, int num_shards, int /*unused*/ = 0);
+inline ShardedGraph MakeShards(const Graph& graph, int num_shards) {
+  return MakeShards(graph.adjacency().view(), num_shards);
 }
 
 /// Same, but with an explicit owner assignment (e.g. by connected component
@@ -77,22 +55,18 @@ inline ShardedGraph MakeShards(const Graph& graph, int num_shards,
 /// num_shards = max(owner) + 1. Empty shards are permitted. Throws
 /// nai::ValidationError when owner's size mismatches the graph or an entry
 /// is negative.
-ShardedGraph MakeShards(CsrView adj, std::vector<std::int32_t> owner,
-                        int halo_hops);
+ShardedGraph MakeShards(CsrView adj, std::vector<std::int32_t> owner);
 inline ShardedGraph MakeShards(const Graph& graph,
-                               std::vector<std::int32_t> owner,
-                               int halo_hops) {
-  return MakeShards(graph.adjacency().view(), std::move(owner), halo_hops);
+                               std::vector<std::int32_t> owner) {
+  return MakeShards(graph.adjacency().view(), std::move(owner));
 }
 
-/// The degenerate single-shard partition: one shard owning every node, no
-/// halo, and — unlike MakeShards with num_shards = 1 — no materialized
-/// shard subgraph or adjacency copy. This is the out-of-core serving
-/// configuration: the shard engine reads the global (possibly memory-
-/// mapped) adjacency directly, so a multi-GB store is never duplicated
-/// into per-shard pooled vectors. Throws nai::ValidationError when
-/// num_nodes < 1 or halo_hops < 0.
-ShardedGraph IdentityShards(std::int64_t num_nodes, int halo_hops);
+/// The single-shard partition of a `num_nodes`-node graph: one shard owning
+/// every node. Needs no adjacency, which suits a memory-mapped store. The
+/// trailing int is ignored; it is kept so the call in
+/// perfbench/nai_perfbench.cc compiles. Throws nai::ValidationError when
+/// num_nodes < 1.
+ShardedGraph IdentityShards(std::int64_t num_nodes, int /*unused*/ = 0);
 
 }  // namespace nai::graph
 

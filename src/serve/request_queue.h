@@ -26,8 +26,9 @@ struct Response {
   std::int32_t exit_depth = -1;  ///< personalized depth L(v) actually used
   QosClass qos = QosClass::kSpeedFirst;
   /// False when the request was shed instead of served: rejected at
-  /// admission (queue full / admission controller / engine shut down) or
-  /// expired in the queue under ServingOptions::drop_expired.
+  /// admission (queue full / admission controller / engine shut down),
+  /// expired in the queue under ServingOptions::drop_expired, or failed by
+  /// an engine exception in its batch.
   bool served = false;
   /// True when completion happened after the request's deadline (always
   /// true for expired-dropped requests).

@@ -139,9 +139,13 @@ void AdmissionController::RecordBatch(std::size_t shard, std::size_t served,
     event.applied_wait_us = applied_wait_us;
     event.admit_limit = state.last_admit_limit;
   }
-  event.t_ms =
-      std::chrono::duration<double, std::milli>(now - start_).count();
   std::lock_guard<std::mutex> lock(trace_mu_);
+  // Pumps stamp `now` before taking the lock, so two of them can append
+  // out of stamp order; keeping the max keeps the trace chronological.
+  last_trace_ms_ = std::max(
+      last_trace_ms_,
+      std::chrono::duration<double, std::milli>(now - start_).count());
+  event.t_ms = last_trace_ms_;
   if (trace_.size() < kTraceCapacity) {
     trace_.push_back(event);
   } else {

@@ -21,10 +21,9 @@ using SchedClock = std::chrono::steady_clock;
 ///     inside a shard queue, bounded by `priority_aging_us` so the bypassed
 ///     class cannot starve.
 ///   * `stealing` — an idle shard pump steals whole coalesced batches from
-///     the most backlogged sibling queue; stolen requests whose supporting
-///     sets fit inside the thief's halo are served on the thief's engine,
-///     the rest fall back through the owner's engine (results stay
-///     bit-identical either way).
+///     the most backlogged sibling queue and serves them on its own engine
+///     (every shard engine serves the whole snapshot, so results stay
+///     bit-identical).
 ///   * `adaptive` — the admission controller tracks per-shard arrival and
 ///     service rates (EWMA) and adapts the batcher's coalescing window and
 ///     TrySubmit shedding to them.
@@ -169,6 +168,7 @@ class AdmissionController {
   mutable std::mutex trace_mu_;
   std::vector<SchedulerTraceEvent> trace_;  ///< ring buffer
   std::size_t trace_next_ = 0;
+  double last_trace_ms_ = 0.0;  ///< t_ms of the newest event
 };
 
 }  // namespace nai::serve

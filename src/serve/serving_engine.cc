@@ -61,7 +61,7 @@ struct ServingEngine::Counters {
   std::int64_t shed_adaptive = 0;
   std::int64_t stolen_batches = 0;
   std::int64_t stolen_requests = 0;
-  std::int64_t steal_fallback_requests = 0;
+  std::int64_t engine_errors = 0;
   std::vector<std::int64_t> shed_adaptive_per_shard;
   std::vector<std::int64_t> stolen_from;  ///< batches taken out of shard s
   std::vector<std::int64_t> stolen_by;    ///< batches shard s's pump stole
@@ -114,7 +114,7 @@ ServingEngine::ServingEngine(core::ShardedNaiEngine& engine,
       stats_(std::make_unique<Counters>()) {
   for (std::size_t c = 0; c < kNumQosClasses; ++c) {
     // The pumps call shard engines directly, bypassing the routed entry
-    // points and their halo check — so every policy is validated here,
+    // points and their config check — so every policy is validated here,
     // before any request can be admitted.
     engine_->ValidateConfig(policies_.policies[c].config);
   }
@@ -370,13 +370,9 @@ void ServingEngine::ServeBatch(
     const std::shared_ptr<const core::ShardedNaiEngine::ShardState>& state,
     std::size_t engine_shard, std::vector<Request> batch,
     std::int64_t applied_wait_us) {
-  // Everything version-dependent — the local-id mapping, the shard engine,
-  // the epoch stamped into responses — comes from the one state the caller
-  // pinned, so a concurrent SwapSnapshot cannot split this batch across
-  // graph versions.
-  const std::vector<std::int32_t>& global_to_local =
-      state->sharded.shards[engine_shard].global_to_local;
-
+  // Everything version-dependent — the shard engine, the epoch stamped
+  // into responses — comes from the one state the caller pinned, so a
+  // concurrent SwapSnapshot cannot split this batch across graph versions.
   const ServeClock::time_point formed = ServeClock::now();
   std::vector<Request> serve;
   serve.reserve(batch.size());
@@ -403,32 +399,46 @@ void ServingEngine::ServeBatch(
 
   // One engine call for the whole (possibly QoS-mixed) batch: queries
   // sharing a policy config group together inside InferMixed, and the
-  // shard engine's ExecContext pins the work to this shard's pool. The
-  // per-shard mutex serializes the owner pump against thieves routing
-  // their fallback requests through this engine (exactly one lock held,
-  // so steal paths can never deadlock).
+  // shard engine's ExecContext pins the work to this shard's pool. Only
+  // this shard's pump drives its engine, so the per-shard mutex is
+  // uncontended; it stays as a guard against that invariant breaking.
   std::vector<core::ConfiguredQuery> queries;
   queries.reserve(serve.size());
   for (const Request& request : serve) {
-    queries.push_back({global_to_local[request.node],
-                       &policies_.For(request.qos).config});
+    queries.push_back({request.node, &policies_.For(request.qos).config});
   }
   // Every batch is single-owner (it was drained from one shard's queue —
-  // own pump, stolen-local or stolen-fallback), so a stolen batch's fills
-  // land in the *owner* shard's cache, where future lookups for these
-  // nodes route (owners never move across swaps, so the pinned state's
-  // owner map is authoritative). The fill epoch is captured before the
-  // engine call: if a BumpEpoch lands while the batch computes, Insert
-  // drops the fills.
+  // by its own pump or a thief), so a stolen batch's fills land in the
+  // *owner* shard's cache, where future lookups for these nodes route
+  // (owners never move across swaps, so the pinned state's owner map is
+  // authoritative). The fill epoch is captured before the engine call: if
+  // a BumpEpoch lands while the batch computes, Insert drops the fills.
   ResultCache* cache =
       caches_[static_cast<std::size_t>(
                   state->sharded.owner[serve.front().node])]
           .get();
   const std::uint64_t fill_epoch = cache != nullptr ? cache->epoch() : 0;
   core::InferenceResult result;
-  {
+  try {
     std::lock_guard<std::mutex> lock(*engine_mu_[engine_shard]);
     result = state->engines[engine_shard]->InferMixed(queries);
+  } catch (...) {
+    // An engine exception fails this batch, not the server: every request
+    // in it completes unserved, is counted, and the pump keeps serving.
+    const ServeClock::time_point failed = ServeClock::now();
+    {
+      std::lock_guard<std::mutex> lock(stats_->mu);
+      stats_->engine_errors += static_cast<std::int64_t>(serve.size());
+    }
+    for (Request& request : serve) {
+      Response response;
+      response.qos = request.qos;
+      response.served = false;
+      response.queue_ms = MsBetween(request.admitted, formed);
+      response.latency_ms = MsBetween(request.admitted, failed);
+      Complete(request, response);
+    }
+    return;
   }
   const ServeClock::time_point done = ServeClock::now();
   if (cache != nullptr) {
@@ -501,40 +511,18 @@ bool ServingEngine::TrySteal(std::size_t thief) {
       queues_[victim]->TryPopBatch(options_.batcher.max_batch);
   if (batch.empty()) return false;
 
-  // One pinned state for the whole steal: the halo-eligibility checks and
-  // the engine calls they gate must agree on the graph version (a swap can
-  // change the halo depths the checks read).
-  const std::shared_ptr<const core::ShardedNaiEngine::ShardState> state =
-      engine_->PinState();
-  // Split the stolen batch: requests whose supporting sets the thief's
-  // halo covers run on the thief's engine (the parallelism win); the rest
-  // keep their bits by routing through the owner engine, serialized with
-  // the owner pump via the per-shard engine mutex.
-  std::vector<Request> local;
-  std::vector<Request> fallback;
-  local.reserve(batch.size());
-  for (Request& request : batch) {
-    const core::InferenceConfig& config = policies_.For(request.qos).config;
-    if (engine_->CanServeFromShard(*state, thief, request.node, config)) {
-      local.push_back(std::move(request));
-    } else {
-      fallback.push_back(std::move(request));
-    }
-  }
+  // Every shard engine serves the whole snapshot, so the thief serves the
+  // whole stolen batch on its own engine, bit-identical to the owner's.
   {
     std::lock_guard<std::mutex> lock(stats_->mu);
     ++stats_->stolen_batches;
-    stats_->stolen_requests +=
-        static_cast<std::int64_t>(local.size() + fallback.size());
-    stats_->steal_fallback_requests +=
-        static_cast<std::int64_t>(fallback.size());
+    stats_->stolen_requests += static_cast<std::int64_t>(batch.size());
     ++stats_->stolen_by[thief];
     ++stats_->stolen_from[victim];
   }
   // Stolen batches are drained directly (TryPopBatch), never coalesced —
   // no window applied, so the trace records -1.
-  if (!local.empty()) ServeBatch(state, thief, std::move(local), -1);
-  if (!fallback.empty()) ServeBatch(state, victim, std::move(fallback), -1);
+  ServeBatch(engine_->PinState(), thief, std::move(batch), -1);
   return true;
 }
 
@@ -690,7 +678,7 @@ ServingStatsSnapshot ServingEngine::Stats() const {
     snap.shed_adaptive = stats_->shed_adaptive;
     snap.stolen_batches = stats_->stolen_batches;
     snap.stolen_requests = stats_->stolen_requests;
-    snap.steal_fallback_requests = stats_->steal_fallback_requests;
+    snap.engine_errors = stats_->engine_errors;
     snap.scheduler.resize(queues_.size());
     for (std::size_t s = 0; s < queues_.size(); ++s) {
       if (queues_[s] == nullptr) {

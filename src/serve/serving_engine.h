@@ -99,13 +99,16 @@ struct ServingStatsSnapshot {
   /// admission controller turned away with the queue below capacity
   /// (predicted queue delay already past the request's budget).
   /// `stolen_requests` counts requests served by a pump other than their
-  /// owner's; `steal_fallback_requests` is the subset the thief had to
-  /// route through the owner engine because its own halo could not cover
-  /// them bit-exactly.
+  /// owner's, on the thief's own engine.
   std::int64_t shed_adaptive = 0;
   std::int64_t stolen_batches = 0;
   std::int64_t stolen_requests = 0;
+  /// Always 0: a thief serves every stolen request itself. Kept because
+  /// perfbench/nai_perfbench.cc reads it.
   std::int64_t steal_fallback_requests = 0;
+  /// Requests completed unserved because the engine call serving their
+  /// batch threw; the pump keeps serving after it.
+  std::int64_t engine_errors = 0;
   /// Per-shard adaptation state (indexed by shard id; default-initialized
   /// for shards that own no nodes) and the bounded adaptation trace —
   /// how the controller moved each shard's window/admission limit as the
@@ -165,10 +168,9 @@ struct DeltaApplyReport {
 ///   * priority — speed-first bypasses queued accuracy-first work inside a
 ///     shard queue, aging-bounded so the bypassed class cannot starve;
 ///   * stealing — a pump whose queue stays empty for steal_poll_us scans
-///     the sibling queues and steals a whole coalesced batch from the most
-///     backlogged one; stolen requests covered by the thief's halo
-///     (ShardedNaiEngine::CanServeFromShard) run on the thief's engine,
-///     the rest on the owner's (serialized by a per-shard engine mutex);
+///     the sibling queues, steals a whole coalesced batch from the most
+///     backlogged one and serves it on its own engine (every shard engine
+///     serves the whole snapshot, so any engine answers any node);
 ///   * admission control — per-shard arrival/service EWMAs retune every
 ///     batcher's coalescing window and shed TrySubmits whose predicted
 ///     queue delay already exceeds their deadline budget.
@@ -191,7 +193,7 @@ class ServingEngine {
 
   /// Throws std::invalid_argument when a policy's config cannot be served
   /// by the engine's shards (ShardedNaiEngine::ValidateConfig — the pumps
-  /// bypass the routed entry points, so the halo check happens here, once)
+  /// bypass the routed entry points, so the check happens here, once)
   /// or when `options` is degenerate (zero queue capacity or batch size,
   /// negative wait, out-of-range scheduler knobs) — everything is
   /// validated on the caller's thread before any pump spawns.
@@ -274,19 +276,19 @@ class ServingEngine {
   void PumpShard(std::size_t shard);
   /// Serves `batch` on `engine_shard`'s engine (owner path: the shard the
   /// requests were queued at; steal path: the thief). Handles
-  /// drop_expired, stats, cache fills and completion. `state` is the
-  /// pinned engine state the whole batch runs against — the caller pins it
-  /// once per batch, which is what makes a snapshot swap land atomically
-  /// between batches. `applied_wait_us` is the coalescing window the batch
-  /// actually formed under (-1 for stolen batches), forwarded into the
-  /// adaptation trace.
+  /// drop_expired, stats, cache fills, engine errors and completion.
+  /// `state` is the pinned engine state the whole batch runs against — the
+  /// caller pins it once per batch, which is what makes a snapshot swap
+  /// land atomically between batches. `applied_wait_us` is the coalescing
+  /// window the batch actually formed under (-1 for stolen batches),
+  /// forwarded into the adaptation trace.
   void ServeBatch(
       const std::shared_ptr<const core::ShardedNaiEngine::ShardState>& state,
       std::size_t engine_shard, std::vector<Request> batch,
       std::int64_t applied_wait_us);
   /// One steal attempt by `thief`: drains a coalesced batch from the most
-  /// backlogged sibling queue and serves it (thief engine where the halo
-  /// covers, owner engine otherwise). True when anything was stolen.
+  /// backlogged sibling queue and serves it on the thief's engine. True
+  /// when anything was stolen.
   bool TrySteal(std::size_t thief);
 
   core::ShardedNaiEngine* engine_;
@@ -298,9 +300,10 @@ class ServingEngine {
   /// degenerate BatcherConfig throws to the caller, not on a pump thread.
   std::vector<std::unique_ptr<RequestQueue>> queues_;
   std::vector<std::unique_ptr<DynamicBatcher>> batchers_;
-  /// Serializes calls into each shard's engine: with stealing on, the
-  /// owner's pump and a thief's fallback path can otherwise race on the
-  /// engine's sampler scratch. One lock per engine call, never nested.
+  /// Serializes calls into each shard's engine. Only the shard's own pump
+  /// drives its engine, so the lock is uncontended; it guards the engine's
+  /// sampler scratch should that ever change. One lock per engine call,
+  /// never nested.
   std::vector<std::unique_ptr<std::mutex>> engine_mu_;
   /// Per-owning-shard result caches (nullptr for non-owning shards or when
   /// ServingOptions::cache.enabled is false). Client threads probe them in

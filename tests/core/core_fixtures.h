@@ -94,15 +94,13 @@ inline core::NaiEngine MakeTestEngine(const SmallWorld& w,
                                        options);
 }
 
-/// Sharded engine over MakeTestSnapshot(w): `num_shards` balanced shards
-/// with a `halo_hops`-hop halo.
+/// Sharded engine over MakeTestSnapshot(w): `num_shards` balanced shards.
 inline core::ShardedNaiEngine MakeTestShardedEngine(
-    const SmallWorld& w, int num_shards, int halo_hops,
+    const SmallWorld& w, int num_shards,
     const core::GateStack* gates = nullptr, int total_threads = 0) {
   return core::ShardedNaiEngine(
-      MakeTestSnapshot(w),
-      graph::MakeShards(w.data.graph, num_shards, halo_hops), *w.classifiers,
-      gates, /*use_stationary=*/true, total_threads);
+      MakeTestSnapshot(w), graph::MakeShards(w.data.graph, num_shards),
+      *w.classifiers, gates, /*use_stationary=*/true, total_threads);
 }
 
 }  // namespace nai::testing

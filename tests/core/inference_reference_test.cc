@@ -277,7 +277,7 @@ TEST(InferenceReferenceTest, DuplicateIdsInOneBatch) {
 TEST(InferenceReferenceTest, TwoShardsMatch) {
   auto w = MakeSmallWorld(4);
   ShardedNaiEngine engine =
-      MakeTestShardedEngine(w, /*num_shards=*/2, /*halo_hops=*/4);
+      MakeTestShardedEngine(w, /*num_shards=*/2);
   const FullGraph g = FullGraphOf(w);
   InferenceConfig cfg;
   cfg.nap = NapKind::kDistance;

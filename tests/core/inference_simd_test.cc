@@ -80,7 +80,7 @@ TEST(InferenceSimdTest, ShardedInferMixedBitExactAcrossLevelsAndThreads) {
   DispatchGuard guard;
   auto w = MakeSmallWorld(3);
   ShardedNaiEngine engine =
-      nai::testing::MakeTestShardedEngine(w, 2, /*halo_hops=*/3);
+      nai::testing::MakeTestShardedEngine(w, 2);
   engine.AttachQuantizedClassifiers(w.quantized.get());
 
   // Three interleaved config groups — speed-ish float, full-depth float,

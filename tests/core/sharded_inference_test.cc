@@ -65,7 +65,7 @@ void CheckShardedBitExact(SmallWorld& w, const GateStack* gates,
   const InferenceResult reference = plain.Infer(w.all_nodes, cfg);
 
   for (const int shards : {1, 2, 4}) {
-    ShardedNaiEngine sharded = MakeTestShardedEngine(w, shards, kDepth, gates);
+    ShardedNaiEngine sharded = MakeTestShardedEngine(w, shards, gates);
     const InferenceResult run = sharded.Infer(w.all_nodes, cfg);
     ExpectSameResult(run, reference, "shards=" + std::to_string(shards));
   }
@@ -76,7 +76,10 @@ TEST(ShardedInferenceTest, NapDistanceBitExact) {
   InferenceConfig cfg;
   cfg.nap = NapKind::kDistance;
   cfg.threshold = 0.3f;
-  CheckShardedBitExact(w, nullptr, cfg);
+  for (const int t_max : {0, 1}) {  // 0 resolves to k
+    cfg.t_max = t_max;
+    CheckShardedBitExact(w, nullptr, cfg);
+  }
 }
 
 TEST(ShardedInferenceTest, NapGateBitExact) {
@@ -111,7 +114,7 @@ TEST(ShardedInferenceTest, PoolSizeAndInterBatchParallelismInvariant) {
   const InferenceResult reference = plain.Infer(w.all_nodes, cfg);
   for (const int total_threads : {1, 5}) {
     ShardedNaiEngine sharded =
-        MakeTestShardedEngine(w, 2, kDepth, nullptr, total_threads);
+        MakeTestShardedEngine(w, 2, nullptr, total_threads);
     for (const int ibp : {1, 4}) {
       cfg.inter_batch_parallelism = ibp;
       const InferenceResult run = sharded.Infer(w.all_nodes, cfg);
@@ -155,7 +158,7 @@ TEST(ShardedInferenceTest, ScrambledQueryOrderMatchesPerNode) {
   cfg.nap = NapKind::kDistance;
   cfg.threshold = 0.3f;
   cfg.batch_size = 37;
-  ShardedNaiEngine sharded = MakeTestShardedEngine(w, 4, kDepth);
+  ShardedNaiEngine sharded = MakeTestShardedEngine(w, 4);
   CheckScrambledContract(w, sharded, queries, cfg);
 }
 
@@ -171,7 +174,7 @@ TEST(ShardedInferenceTest, UnevenShardCountAndCustomOwnerRoute) {
   cfg.threshold = 0.3f;
   cfg.batch_size = 37;
 
-  ShardedNaiEngine uneven = MakeTestShardedEngine(w, 3, kDepth);
+  ShardedNaiEngine uneven = MakeTestShardedEngine(w, 3);
   CheckScrambledContract(w, uneven, queries, cfg);
 
   std::vector<std::int32_t> owner(w.all_nodes.size());
@@ -179,7 +182,7 @@ TEST(ShardedInferenceTest, UnevenShardCountAndCustomOwnerRoute) {
     owner[v] = static_cast<std::int32_t>(v % 2);
   }
   ShardedNaiEngine round_robin(
-      MakeTestSnapshot(w), graph::MakeShards(w.data.graph, owner, kDepth),
+      MakeTestSnapshot(w), graph::MakeShards(w.data.graph, owner),
       *w.classifiers, nullptr);
   CheckScrambledContract(w, round_robin, queries, cfg);
 }
@@ -194,7 +197,7 @@ TEST(ShardedInferenceTest, EmptyShardGetsNoEngineButServingStaysExact) {
     owner[v] = (v % 2 == 0) ? 0 : 2;
   }
   ShardedNaiEngine sharded(
-      MakeTestSnapshot(w), graph::MakeShards(w.data.graph, owner, kDepth),
+      MakeTestSnapshot(w), graph::MakeShards(w.data.graph, owner),
       *w.classifiers, nullptr);
   ASSERT_EQ(sharded.num_shards(), 3u);
 
@@ -216,7 +219,7 @@ TEST(ShardedInferenceTest, StatsSetExactlyOnceAcrossShards) {
   cfg.nap = NapKind::kDistance;
   cfg.threshold = 0.3f;
   cfg.batch_size = 25;
-  ShardedNaiEngine sharded = MakeTestShardedEngine(w, 3, 2);
+  ShardedNaiEngine sharded = MakeTestShardedEngine(w, 3);
   const InferenceResult run = sharded.Infer(w.all_nodes, cfg);
   EXPECT_EQ(run.stats.num_nodes, 120);
   EXPECT_GT(run.stats.wall_time_ms, 0.0);
@@ -243,7 +246,7 @@ TEST(ShardedInferenceTest, AccumulateExcludesNumNodesAndWallTime) {
 
 TEST(ShardedInferenceTest, EmptyQueryList) {
   auto w = MakeSmallWorld(2, models::ModelKind::kSgc, 120);
-  ShardedNaiEngine sharded = MakeTestShardedEngine(w, 2, 2);
+  ShardedNaiEngine sharded = MakeTestShardedEngine(w, 2);
   InferenceConfig cfg;
   cfg.nap = NapKind::kDistance;
   const InferenceResult r = sharded.Infer({}, cfg);
@@ -254,24 +257,9 @@ TEST(ShardedInferenceTest, EmptyQueryList) {
   EXPECT_EQ(r.stats.propagation_macs, 0);
 }
 
-TEST(ShardedInferenceTest, HaloTooShallowThrows) {
-  auto w = MakeSmallWorld(kDepth);
-  ShardedNaiEngine sharded = MakeTestShardedEngine(w, 2, /*halo_hops=*/1);
-  InferenceConfig cfg;
-  cfg.nap = NapKind::kDistance;  // default t_max = 0 resolves to k = 3 > 1
-  EXPECT_THROW(sharded.Infer(w.all_nodes, cfg), std::invalid_argument);
-
-  // A T_max within the halo must serve fine and match the plain engine.
-  cfg.t_max = 1;
-  cfg.batch_size = 20;
-  NaiEngine plain = MakeTestEngine(w);
-  ExpectSameResult(sharded.Infer(w.all_nodes, cfg),
-                   plain.Infer(w.all_nodes, cfg), "t_max=1 halo=1");
-}
-
 TEST(ShardedInferenceTest, QueryOutOfRangeThrows) {
   auto w = MakeSmallWorld(2, models::ModelKind::kSgc, 120);
-  ShardedNaiEngine sharded = MakeTestShardedEngine(w, 2, 2);
+  ShardedNaiEngine sharded = MakeTestShardedEngine(w, 2);
   InferenceConfig cfg;
   EXPECT_THROW(sharded.Infer({-1}, cfg), std::out_of_range);
   EXPECT_THROW(sharded.Infer({120}, cfg), std::out_of_range);
@@ -304,7 +292,7 @@ TEST(ShardedInferenceTest, InferMixedRoutesAndGroupsBitExact) {
   const InferenceResult ref_full = plain.Infer(full_nodes, full);
 
   for (const int shards : {1, 2, 4}) {
-    ShardedNaiEngine sharded = MakeTestShardedEngine(w, shards, kDepth);
+    ShardedNaiEngine sharded = MakeTestShardedEngine(w, shards);
     const InferenceResult mixed = sharded.InferMixed(queries);
     ASSERT_EQ(mixed.predictions.size(), queries.size());
     std::size_t si = 0, fi = 0;
@@ -324,20 +312,20 @@ TEST(ShardedInferenceTest, InferMixedRoutesAndGroupsBitExact) {
 
 TEST(ShardedInferenceTest, InferMixedValidatesEveryConfig) {
   auto w = MakeSmallWorld(kDepth);
-  ShardedNaiEngine sharded = MakeTestShardedEngine(w, 2, /*halo_hops=*/1);
-  InferenceConfig shallow;
-  shallow.nap = NapKind::kDistance;
-  shallow.t_max = 1;
-  InferenceConfig deep;
-  deep.nap = NapKind::kDistance;
-  deep.t_max = 0;  // resolves to k = 3 > halo 1
+  ShardedNaiEngine sharded = MakeTestShardedEngine(w, 2);
+  InferenceConfig plain;
+  plain.nap = NapKind::kDistance;
+  plain.t_max = 1;
+  InferenceConfig int8;
+  int8.nap = NapKind::kDistance;
+  int8.int8_classifier = true;  // no quantized stack is attached
   // One offending config anywhere in the list rejects the whole call
   // before any shard runs.
-  EXPECT_THROW(sharded.InferMixed({{0, &shallow}, {1, &deep}}),
+  EXPECT_THROW(sharded.InferMixed({{0, &plain}, {1, &int8}}),
                std::invalid_argument);
-  EXPECT_THROW(sharded.InferMixed({{0, &shallow}, {1, nullptr}}),
+  EXPECT_THROW(sharded.InferMixed({{0, &plain}, {1, nullptr}}),
                std::invalid_argument);
-  const InferenceResult ok = sharded.InferMixed({{0, &shallow}});
+  const InferenceResult ok = sharded.InferMixed({{0, &plain}});
   EXPECT_EQ(ok.predictions.size(), 1u);
 }
 
@@ -346,77 +334,18 @@ TEST(ShardedInferenceTest, MismatchedShardingRejected) {
   auto other = MakeSmallWorld(2, models::ModelKind::kSgc, 60);
   EXPECT_THROW(
       ShardedNaiEngine(MakeTestSnapshot(w),
-                       graph::MakeShards(other.data.graph, 2, 2),
+                       graph::MakeShards(other.data.graph, 2),
                        *w.classifiers, nullptr),
       std::invalid_argument);
 }
 
-/// Hop distances from shard s's owned set over the FULL graph — the
-/// independent reference for the steal-eligibility rule (the engine
-/// computes the same thing by BFS over the induced shard subgraph).
-std::vector<int> GlobalHaloDepths(const graph::Graph& g,
-                                  const graph::GraphShard& shard) {
-  std::vector<int> depth(g.num_nodes(), -1);
-  std::vector<std::int32_t> frontier;
-  for (const std::int32_t v : shard.owned) {
-    depth[v] = 0;
-    frontier.push_back(v);
-  }
-  int level = 0;
-  while (!frontier.empty()) {
-    ++level;
-    std::vector<std::int32_t> next;
-    for (const std::int32_t u : frontier) {
-      for (const std::int32_t* it = g.neighbors_begin(u);
-           it != g.neighbors_end(u); ++it) {
-        if (depth[*it] < 0) {
-          depth[*it] = level;
-          next.push_back(*it);
-        }
-      }
-    }
-    frontier = std::move(next);
-  }
-  return depth;
-}
-
-TEST(ShardedInferenceTest, CanServeFromShardMatchesGlobalHaloDepths) {
-  // The steal-path eligibility rule, checked against full-graph BFS
-  // distances: shard s may serve v iff v sits deep enough inside s's halo
-  // that the whole supporting BFS stays on complete adjacency rows.
+TEST(ShardedInferenceTest, AnyShardEngineServesAnyNodeBitExactly) {
+  // The property work stealing rests on: every shard engine serves the
+  // whole snapshot, so a thief answers any node — owned by any shard —
+  // bit-identically to the routed owner path, predictions and exit depths
+  // alike.
   auto w = MakeSmallWorld(kDepth);
-  ShardedNaiEngine sharded = MakeTestShardedEngine(w, 2, kDepth);
-  const graph::ShardedGraph& sg = sharded.sharded_graph();
-  InferenceConfig cfg;
-  cfg.nap = NapKind::kDistance;
-  cfg.t_max = 2;
-  for (std::size_t s = 0; s < sg.num_shards(); ++s) {
-    const std::vector<int> depth = GlobalHaloDepths(w.data.graph,
-                                                    sg.shards[s]);
-    for (const std::int32_t v : w.all_nodes) {
-      const bool in_shard = sg.shards[s].contains(v);
-      const bool want =
-          static_cast<std::size_t>(sg.owner[v]) == s ||
-          (in_shard && depth[v] >= 0 && depth[v] + 2 <= sg.halo_hops);
-      EXPECT_EQ(sharded.CanServeFromShard(s, v, cfg), want)
-          << "shard " << s << " node " << v;
-    }
-  }
-  EXPECT_THROW(sharded.CanServeFromShard(0, -1, cfg), std::out_of_range);
-  EXPECT_THROW(sharded.CanServeFromShard(
-                   0, static_cast<std::int32_t>(w.all_nodes.size()), cfg),
-               std::out_of_range);
-  // A shard index outside the partition can serve nothing.
-  EXPECT_FALSE(sharded.CanServeFromShard(7, w.all_nodes[0], cfg));
-}
-
-TEST(ShardedInferenceTest, StealEligibleNodesServeBitExactFromThief) {
-  // The property work stealing rests on: every steal-eligible (thief,
-  // node) pair answers bit-identically from the thief's engine and from
-  // the routed owner path — predictions and exit depths alike.
-  auto w = MakeSmallWorld(kDepth);
-  ShardedNaiEngine sharded = MakeTestShardedEngine(w, 4, kDepth);
-  const graph::ShardedGraph& sg = sharded.sharded_graph();
+  ShardedNaiEngine sharded = MakeTestShardedEngine(w, 4);
   InferenceConfig cfg;
   cfg.nap = NapKind::kDistance;
   cfg.relative_distance = true;
@@ -424,29 +353,24 @@ TEST(ShardedInferenceTest, StealEligibleNodesServeBitExactFromThief) {
   cfg.t_max = 2;
   const InferenceResult ref = sharded.Infer(w.all_nodes, cfg);
 
-  std::size_t eligible = 0;
-  for (std::size_t s = 0; s < sg.num_shards(); ++s) {
-    std::vector<std::int32_t> locals;
-    std::vector<std::int32_t> globals;
-    for (const std::int32_t v : w.all_nodes) {
-      if (static_cast<std::size_t>(sg.owner[v]) == s) continue;
-      if (!sharded.CanServeFromShard(s, v, cfg)) continue;
-      locals.push_back(sg.shards[s].global_to_local[v]);
-      globals.push_back(v);
-    }
-    if (locals.empty()) continue;
-    eligible += locals.size();
-    const InferenceResult stolen = sharded.shard_engine(s).Infer(locals, cfg);
-    for (std::size_t i = 0; i < globals.size(); ++i) {
-      EXPECT_EQ(stolen.predictions[i], ref.predictions[globals[i]])
-          << "thief " << s << " node " << globals[i];
-      EXPECT_EQ(stolen.exit_depths[i], ref.exit_depths[globals[i]])
-          << "thief " << s << " node " << globals[i];
-    }
+  for (std::size_t s = 0; s < sharded.num_shards(); ++s) {
+    const InferenceResult run = sharded.shard_engine(s).Infer(w.all_nodes, cfg);
+    EXPECT_EQ(run.predictions, ref.predictions) << "shard engine " << s;
+    EXPECT_EQ(run.exit_depths, ref.exit_depths) << "shard engine " << s;
   }
-  // The small world is dense enough that some cross-shard nodes qualify;
-  // a silently empty sweep would make this test vacuous.
-  EXPECT_GT(eligible, 0u);
+}
+
+/// Every shard engine of `state` propagates over the snapshot's own
+/// normalized adjacency, not a copy.
+void ExpectEnginesShareSnapshotStores(const ShardedNaiEngine::ShardState& state,
+                                      const std::string& label) {
+  const graph::CsrView global = state.snapshot->norm_adj();
+  for (std::size_t s = 0; s < state.engines.size(); ++s) {
+    ASSERT_NE(state.engines[s], nullptr) << label << " shard " << s;
+    const graph::CsrView local = state.engines[s]->norm_adj();
+    EXPECT_EQ(local.row_ptr, global.row_ptr) << label << " shard " << s;
+    EXPECT_EQ(local.col_idx, global.col_idx) << label << " shard " << s;
+  }
 }
 
 graph::GraphDelta SmallDelta(const graph::GraphSnapshot& base) {
@@ -461,6 +385,20 @@ graph::GraphDelta SmallDelta(const graph::GraphSnapshot& base) {
   delta.AddEdge(3, 200);
   delta.UpdateFeatures(42, std::vector<float>(f, 1.25f));
   return delta;
+}
+
+TEST(ShardedInferenceTest, ShardEnginesShareTheSnapshotStores) {
+  auto w = MakeSmallWorld(kDepth);
+  auto base = MakeTestSnapshot(w);
+  for (const int shards : {1, 2, 3}) {
+    const std::string label = "shards=" + std::to_string(shards);
+    ShardedNaiEngine live(base, graph::MakeShards(base->adj(), shards),
+                          *w.classifiers, nullptr);
+    ExpectEnginesShareSnapshotStores(*live.PinState(), label);
+    graph::SnapshotBuilder builder(base);
+    live.SwapSnapshot(builder.Apply(SmallDelta(*base)));
+    ExpectEnginesShareSnapshotStores(*live.PinState(), label + " post-swap");
+  }
 }
 
 TEST(ShardedInferenceTest, SwapSnapshotMatchesFromScratchMergedEngine) {
@@ -479,7 +417,7 @@ TEST(ShardedInferenceTest, SwapSnapshotMatchesFromScratchMergedEngine) {
   std::iota(all_merged.begin(), all_merged.end(), 0);
 
   for (const int shards : {1, 2, 4}) {
-    ShardedNaiEngine live(base, graph::MakeShards(base->adj(), shards, kDepth),
+    ShardedNaiEngine live(base, graph::MakeShards(base->adj(), shards),
                           *w.classifiers, nullptr);
     graph::SnapshotBuilder builder(base);
     live.SwapSnapshot(builder.Apply(delta));
@@ -491,8 +429,7 @@ TEST(ShardedInferenceTest, SwapSnapshotMatchesFromScratchMergedEngine) {
     // equality needs identical routing.
     ShardedNaiEngine reference(
         merged,
-        graph::MakeShards(merged->adj(), live.PinState()->sharded.owner,
-                          kDepth),
+        graph::MakeShards(merged->adj(), live.PinState()->sharded.owner),
         *w.classifiers, nullptr);
     ExpectSameResult(live.Infer(all_merged, cfg),
                      reference.Infer(all_merged, cfg),
@@ -503,7 +440,7 @@ TEST(ShardedInferenceTest, SwapSnapshotMatchesFromScratchMergedEngine) {
 TEST(ShardedInferenceTest, SwapKeepsPinnedStateUsableAndOwnersStable) {
   auto w = MakeSmallWorld(kDepth);
   auto base = MakeTestSnapshot(w);
-  ShardedNaiEngine live(base, graph::MakeShards(base->adj(), 2, kDepth),
+  ShardedNaiEngine live(base, graph::MakeShards(base->adj(), 2),
                         *w.classifiers, nullptr);
   InferenceConfig cfg;
   cfg.t_max = 2;
@@ -542,7 +479,7 @@ TEST(ShardedInferenceTest, SwapKeepsPinnedStateUsableAndOwnersStable) {
 TEST(ShardedInferenceTest, SwapValidationThrows) {
   auto w = MakeSmallWorld(kDepth);
   auto base = MakeTestSnapshot(w);
-  ShardedNaiEngine live(base, graph::MakeShards(base->adj(), 2, kDepth),
+  ShardedNaiEngine live(base, graph::MakeShards(base->adj(), 2),
                         *w.classifiers, nullptr);
   EXPECT_THROW(live.SwapSnapshot(nullptr), std::invalid_argument);
   // A shrinking snapshot (fewer nodes than currently served) is rejected.
@@ -560,7 +497,7 @@ TEST(ShardedInferenceTest, SwapValidationThrows) {
 TEST(ShardedInferenceTest, NewNodesRoutableAfterSwap) {
   auto w = MakeSmallWorld(kDepth);
   auto base = MakeTestSnapshot(w);
-  ShardedNaiEngine live(base, graph::MakeShards(base->adj(), 2, kDepth),
+  ShardedNaiEngine live(base, graph::MakeShards(base->adj(), 2),
                         *w.classifiers, nullptr);
   const std::int64_t n = base->num_nodes();
   graph::SnapshotBuilder builder(base);

@@ -1,11 +1,11 @@
 // Property tests for the serving-graph partitioner: owned sets partition V,
-// halos are exactly the halo_hops-hop neighborhoods, induced structure and
-// id maps round-trip, and the BFS-never-leaves-the-shard guarantee holds
-// for every owned node.
+// the default partition is balanced and contiguous, and every shard's id
+// map is the identity (shard engines serve the whole snapshot).
 
 #include "src/graph/shard.h"
 
 #include <algorithm>
+#include <numeric>
 #include <set>
 #include <stdexcept>
 
@@ -25,29 +25,11 @@ class ShardTest : public ::testing::Test {
     ds_ = GenerateDataset(cfg);
   }
 
-  /// Global ids within `hops` of `seeds`, by reference BFS on the full graph.
-  std::set<std::int32_t> Neighborhood(const std::vector<std::int32_t>& seeds,
-                                      int hops) const {
-    std::set<std::int32_t> reached(seeds.begin(), seeds.end());
-    std::vector<std::int32_t> frontier(seeds.begin(), seeds.end());
-    for (int h = 0; h < hops; ++h) {
-      std::vector<std::int32_t> next;
-      for (const std::int32_t v : frontier) {
-        for (const auto* it = ds_.graph.neighbors_begin(v);
-             it != ds_.graph.neighbors_end(v); ++it) {
-          if (reached.insert(*it).second) next.push_back(*it);
-        }
-      }
-      frontier = std::move(next);
-    }
-    return reached;
-  }
-
   SyntheticDataset ds_;
 };
 
 TEST_F(ShardTest, OwnedSetsPartitionAllNodes) {
-  const ShardedGraph sharded = MakeShards(ds_.graph, 4, 2);
+  const ShardedGraph sharded = MakeShards(ds_.graph, 4);
   ASSERT_EQ(sharded.num_shards(), 4u);
   std::set<std::int32_t> seen;
   std::size_t total = 0;
@@ -65,7 +47,7 @@ TEST_F(ShardTest, OwnedSetsPartitionAllNodes) {
 }
 
 TEST_F(ShardTest, DefaultPartitionIsBalancedContiguous) {
-  const ShardedGraph sharded = MakeShards(ds_.graph, 7, 1);  // 300 = 7*42 + 6
+  const ShardedGraph sharded = MakeShards(ds_.graph, 7);  // 300 = 7*42 + 6
   std::size_t min_size = 301, max_size = 0;
   std::int32_t expected_start = 0;
   for (const GraphShard& shard : sharded.shards) {
@@ -81,82 +63,20 @@ TEST_F(ShardTest, DefaultPartitionIsBalancedContiguous) {
   EXPECT_LE(max_size - min_size, 1u);
 }
 
-TEST_F(ShardTest, ShardNodesAreExactlyTheHaloNeighborhood) {
-  for (const int halo : {0, 1, 3}) {
-    const ShardedGraph sharded = MakeShards(ds_.graph, 3, halo);
-    for (const GraphShard& shard : sharded.shards) {
-      const std::set<std::int32_t> want = Neighborhood(shard.owned, halo);
-      const std::set<std::int32_t> got(shard.nodes.begin(),
-                                       shard.nodes.end());
-      EXPECT_EQ(got, want) << "halo=" << halo;
-      EXPECT_EQ(shard.num_halo(),
-                static_cast<std::int64_t>(want.size() - shard.owned.size()));
-    }
-  }
-}
-
-TEST_F(ShardTest, SupportBfsNeverLeavesShard) {
-  // The serving guarantee: every owned node's halo_hops-hop neighborhood is
-  // inside the shard, so a supporting-set BFS from any routed query (or
-  // batch of them) stays local.
-  const int halo = 2;
-  const ShardedGraph sharded = MakeShards(ds_.graph, 5, halo);
+TEST_F(ShardTest, GlobalToLocalIsIdentityAndOwnedSorted) {
+  const ShardedGraph sharded = MakeShards(ds_.graph, 4);
+  std::vector<std::int32_t> identity(300);
+  std::iota(identity.begin(), identity.end(), 0);
   for (const GraphShard& shard : sharded.shards) {
-    for (const std::int32_t v : shard.owned) {
-      for (const std::int32_t u : Neighborhood({v}, halo)) {
-        EXPECT_TRUE(shard.contains(u))
-            << "node " << u << " within " << halo << " hops of owned " << v
-            << " missing from shard";
-      }
-    }
-  }
-}
-
-TEST_F(ShardTest, GlobalToLocalRoundTripsAndNodesSorted) {
-  const ShardedGraph sharded = MakeShards(ds_.graph, 4, 2);
-  for (const GraphShard& shard : sharded.shards) {
-    EXPECT_TRUE(std::is_sorted(shard.nodes.begin(), shard.nodes.end()));
     EXPECT_TRUE(std::is_sorted(shard.owned.begin(), shard.owned.end()));
-    ASSERT_EQ(shard.global_to_local.size(), 300u);
-    std::size_t present = 0;
-    for (std::int32_t g = 0; g < 300; ++g) {
-      const std::int32_t local = shard.global_to_local[g];
-      if (local >= 0) {
-        ++present;
-        ASSERT_LT(static_cast<std::size_t>(local), shard.nodes.size());
-        EXPECT_EQ(shard.nodes[local], g);
-      }
-    }
-    EXPECT_EQ(present, shard.nodes.size());
-  }
-}
-
-TEST_F(ShardTest, InducedGraphMatchesGlobalEdgesAndOwnedDegrees) {
-  const ShardedGraph sharded = MakeShards(ds_.graph, 3, 1);
-  for (const GraphShard& shard : sharded.shards) {
-    ASSERT_EQ(shard.graph.num_nodes(),
-              static_cast<std::int64_t>(shard.nodes.size()));
-    // Every shard edge exists globally.
-    for (std::int32_t v = 0; v < shard.graph.num_nodes(); ++v) {
-      for (const auto* it = shard.graph.neighbors_begin(v);
-           it != shard.graph.neighbors_end(v); ++it) {
-        EXPECT_TRUE(ds_.graph.HasEdge(shard.nodes[v], shard.nodes[*it]));
-      }
-    }
-    // Owned nodes keep their full neighbor lists (halo >= 1), so their
-    // shard-local degree equals the global one — what keeps per-shard
-    // stationary rows and normalized weights of owned nodes exact.
-    for (const std::int32_t g : shard.owned) {
-      EXPECT_EQ(shard.graph.degree(shard.global_to_local[g]),
-                ds_.graph.degree(g));
-    }
+    EXPECT_EQ(shard.global_to_local, identity);
   }
 }
 
 TEST_F(ShardTest, CustomOwnerVectorRoundRobin) {
   std::vector<std::int32_t> owner(300);
   for (int v = 0; v < 300; ++v) owner[v] = v % 3;
-  const ShardedGraph sharded = MakeShards(ds_.graph, owner, 1);
+  const ShardedGraph sharded = MakeShards(ds_.graph, owner);
   ASSERT_EQ(sharded.num_shards(), 3u);
   EXPECT_EQ(sharded.owner, owner);
   for (std::size_t s = 0; s < 3; ++s) {
@@ -167,36 +87,39 @@ TEST_F(ShardTest, CustomOwnerVectorRoundRobin) {
   }
 }
 
-TEST_F(ShardTest, SingleShardOwnsEverythingWithNoHalo) {
-  const ShardedGraph sharded = MakeShards(ds_.graph, 1, 3);
+TEST_F(ShardTest, SingleShardEqualsIdentityShards) {
+  const ShardedGraph sharded = MakeShards(ds_.graph, 1);
+  const ShardedGraph identity = IdentityShards(300);
   ASSERT_EQ(sharded.num_shards(), 1u);
+  ASSERT_EQ(identity.num_shards(), 1u);
   EXPECT_EQ(sharded.shards[0].owned.size(), 300u);
-  EXPECT_EQ(sharded.shards[0].num_halo(), 0);
-  EXPECT_EQ(sharded.shards[0].graph.num_edges(), ds_.graph.num_edges());
+  EXPECT_EQ(sharded.owner, identity.owner);
+  EXPECT_EQ(sharded.shards[0].owned, identity.shards[0].owned);
+  EXPECT_EQ(sharded.shards[0].global_to_local,
+            identity.shards[0].global_to_local);
 }
 
 TEST_F(ShardTest, DeterministicAcrossCalls) {
-  const ShardedGraph a = MakeShards(ds_.graph, 4, 2);
-  const ShardedGraph b = MakeShards(ds_.graph, 4, 2);
+  const ShardedGraph a = MakeShards(ds_.graph, 4);
+  const ShardedGraph b = MakeShards(ds_.graph, 4);
   ASSERT_EQ(a.num_shards(), b.num_shards());
+  EXPECT_EQ(a.owner, b.owner);
   for (std::size_t s = 0; s < a.num_shards(); ++s) {
     EXPECT_EQ(a.shards[s].owned, b.shards[s].owned);
-    EXPECT_EQ(a.shards[s].nodes, b.shards[s].nodes);
   }
 }
 
 TEST_F(ShardTest, InvalidArgumentsThrow) {
-  EXPECT_THROW(MakeShards(ds_.graph, 0, 1), std::invalid_argument);
-  EXPECT_THROW(MakeShards(ds_.graph, -2, 1), std::invalid_argument);
-  EXPECT_THROW(MakeShards(ds_.graph, 301, 1), std::invalid_argument);
-  EXPECT_THROW(MakeShards(ds_.graph, 2, -1), std::invalid_argument);
-  EXPECT_THROW(MakeShards(Graph(), 1, 1), std::invalid_argument);
+  EXPECT_THROW(MakeShards(ds_.graph, 0), std::invalid_argument);
+  EXPECT_THROW(MakeShards(ds_.graph, -2), std::invalid_argument);
+  EXPECT_THROW(MakeShards(ds_.graph, 301), std::invalid_argument);
+  EXPECT_THROW(MakeShards(Graph(), 1), std::invalid_argument);
+  EXPECT_THROW(IdentityShards(0), std::invalid_argument);
   std::vector<std::int32_t> short_owner(299, 0);
-  EXPECT_THROW(MakeShards(ds_.graph, short_owner, 1), std::invalid_argument);
+  EXPECT_THROW(MakeShards(ds_.graph, short_owner), std::invalid_argument);
   std::vector<std::int32_t> negative_owner(300, 0);
   negative_owner[7] = -1;
-  EXPECT_THROW(MakeShards(ds_.graph, negative_owner, 1),
-               std::invalid_argument);
+  EXPECT_THROW(MakeShards(ds_.graph, negative_owner), std::invalid_argument);
 }
 
 TEST_F(ShardTest, EmptyShardFromCustomOwnerIsAllowed) {
@@ -204,11 +127,10 @@ TEST_F(ShardTest, EmptyShardFromCustomOwnerIsAllowed) {
   // well-formed, not crash.
   std::vector<std::int32_t> owner(300);
   for (int v = 0; v < 300; ++v) owner[v] = (v % 2) * 2;
-  const ShardedGraph sharded = MakeShards(ds_.graph, owner, 1);
+  const ShardedGraph sharded = MakeShards(ds_.graph, owner);
   ASSERT_EQ(sharded.num_shards(), 3u);
   EXPECT_EQ(sharded.shards[1].owned.size(), 0u);
-  EXPECT_EQ(sharded.shards[1].nodes.size(), 0u);
-  EXPECT_EQ(sharded.shards[1].graph.num_nodes(), 0);
+  EXPECT_EQ(sharded.shards[1].num_owned(), 0);
 }
 
 }  // namespace

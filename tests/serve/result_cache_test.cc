@@ -33,8 +33,8 @@ SmallWorld& World() {
   return w;
 }
 
-core::ShardedNaiEngine MakeSharded(int num_shards, int halo_hops = kDepth) {
-  return nai::testing::MakeTestShardedEngine(World(), num_shards, halo_hops);
+core::ShardedNaiEngine MakeSharded(int num_shards) {
+  return nai::testing::MakeTestShardedEngine(World(), num_shards);
 }
 
 QosPolicyTable MakePolicies() {

@@ -31,13 +31,11 @@ SmallWorld& World() {
   return w;
 }
 
-std::unique_ptr<core::ShardedNaiEngine> MakeSharded(int num_shards,
-                                                    int halo_hops = kDepth) {
+std::unique_ptr<core::ShardedNaiEngine> MakeSharded(int num_shards) {
   SmallWorld& w = World();
   auto engine = std::make_unique<core::ShardedNaiEngine>(
       nai::testing::MakeTestSnapshot(w),
-      graph::MakeShards(w.data.graph, num_shards, halo_hops), *w.classifiers,
-      nullptr);
+      graph::MakeShards(w.data.graph, num_shards), *w.classifiers, nullptr);
   engine->AttachQuantizedClassifiers(w.quantized.get());
   return engine;
 }
@@ -58,13 +56,6 @@ QosPolicyTable MakePolicies(double speed_deadline_ms = 1000.0,
   accuracy.config.t_max = 0;  // full depth k
   accuracy.default_deadline_ms = accuracy_deadline_ms;
   return table;
-}
-
-TEST(ServingEngineTest, PoliciesValidatedAgainstHaloAtConstruction) {
-  // halo_hops = 1 cannot support the accuracy class's full-depth BFS; the
-  // front-end must refuse at construction, not on the first deep request.
-  const std::unique_ptr<core::ShardedNaiEngine> engine = MakeSharded(2, /*halo_hops=*/1);
-  EXPECT_THROW(ServingEngine(*engine, MakePolicies()), std::invalid_argument);
 }
 
 TEST(ServingEngineTest, SingleClassBitExactVsDirectInfer) {
@@ -376,8 +367,7 @@ TEST(ServingEngineTest, Int8PolicyRejectedWithoutQuantizedStack) {
   // front-end construction when the engine has no quantized bank attached
   // — not discovered on the first throughput-first request.
   SmallWorld& w = World();
-  core::ShardedNaiEngine bare =
-      nai::testing::MakeTestShardedEngine(w, 2, kDepth);
+  core::ShardedNaiEngine bare = nai::testing::MakeTestShardedEngine(w, 2);
   EXPECT_THROW(ServingEngine(bare, DefaultQosPolicyTable(kDepth)),
                std::invalid_argument);
   // Float-only tables keep working on the same bare engine.
@@ -466,6 +456,53 @@ TEST(ServingEngineTest, ThroughputFirstStaysWithinAccuracyDeltaBudget) {
                 static_cast<double>(w.all_nodes.size()))
       << flipped << " of " << w.all_nodes.size()
       << " predictions differ from the float twin";
+}
+
+TEST(ServingEngineTest, EngineErrorCompletesBatchUnservedAndKeepsServing) {
+  // An engine exception fails its batch, not the server. Detaching the
+  // INT8 bank after construction makes every throughput-first batch throw
+  // inside a pump: each future must still resolve, unserved and counted,
+  // and once the bank is back the same pumps must serve bit-exactly.
+  SmallWorld& w = World();
+  QosPolicyTable policies = MakePolicies();
+  QosPolicy& throughput = policies.For(QosClass::kThroughputFirst);
+  throughput.config = policies.For(QosClass::kSpeedFirst).config;
+  throughput.config.int8_classifier = true;
+  throughput.default_deadline_ms = 1000.0;
+
+  const std::unique_ptr<core::ShardedNaiEngine> engine = MakeSharded(2);
+  const core::InferenceResult ref =
+      engine->Infer(w.all_nodes, throughput.config);
+  ServingOptions options;
+  options.cache.enabled = false;
+  ServingEngine server(*engine, policies, options);
+  engine->AttachQuantizedClassifiers(nullptr);
+
+  const std::size_t failing = 16;
+  std::vector<std::future<Response>> futures;
+  for (std::size_t i = 0; i < failing; ++i) {
+    futures.push_back(
+        server.Submit(w.all_nodes[i], QosClass::kThroughputFirst));
+  }
+  for (std::future<Response>& future : futures) {
+    const Response r = future.get();
+    EXPECT_FALSE(r.served);
+    EXPECT_EQ(r.prediction, -1);
+    EXPECT_EQ(r.qos, QosClass::kThroughputFirst);
+  }
+  ServingStatsSnapshot stats = server.Stats();
+  EXPECT_EQ(stats.engine_errors, static_cast<std::int64_t>(failing));
+  EXPECT_EQ(stats.completed, 0);
+
+  engine->AttachQuantizedClassifiers(w.quantized.get());
+  const std::int32_t node = w.all_nodes[failing];
+  const Response r = server.Submit(node, QosClass::kThroughputFirst).get();
+  ASSERT_TRUE(r.served);
+  EXPECT_EQ(r.prediction, ref.predictions[failing]);
+  EXPECT_EQ(r.exit_depth, ref.exit_depths[failing]);
+  stats = server.Stats();
+  EXPECT_EQ(stats.engine_errors, static_cast<std::int64_t>(failing));
+  EXPECT_EQ(stats.completed, 1);
 }
 
 TEST(ServingEngineTest, SingleShardEngineIsServableToo) {

@@ -1,9 +1,8 @@
 // ApplyDeltas contract of the serving front-end: after a swap every query —
 // any shard count, either QoS class, cache on or off — answers
 // bit-identically to a from-scratch engine on the merged graph; epochs are
-// stamped into responses and the stats snapshot; the steal-eligibility halo
-// data is rebuilt when a delta changes shard halos; and queries racing a
-// swap stay safe (runs under TSan in scripts/check.sh).
+// stamped into responses and the stats snapshot; and queries racing a swap
+// stay safe (runs under TSan in scripts/check.sh).
 
 #include <atomic>
 #include <cstdint>
@@ -16,7 +15,6 @@
 #include "gtest/gtest.h"
 #include "src/core/sharded_inference.h"
 #include "src/graph/delta.h"
-#include "src/graph/generators.h"
 #include "src/graph/shard.h"
 #include "src/serve/serving_engine.h"
 #include "tests/core/core_fixtures.h"
@@ -87,7 +85,7 @@ TEST(SnapshotSwapTest, ApplyDeltasBitExactAcrossShardsQosAndCache) {
   for (const int shards : {1, 2, 4}) {
     for (const bool cache_on : {false, true}) {
       core::ShardedNaiEngine engine(
-          base, graph::MakeShards(base->adj(), shards, kDepth),
+          base, graph::MakeShards(base->adj(), shards),
           *w.classifiers, nullptr);
       ServingOptions options;
       options.cache.enabled = cache_on;
@@ -137,8 +135,7 @@ TEST(SnapshotSwapTest, ApplyDeltasBitExactAcrossShardsQosAndCache) {
 TEST(SnapshotSwapTest, InvalidDeltaSurfacesThroughFutureAndKeepsServing) {
   SmallWorld& w = World();
   auto base = BaseSnapshot();
-  core::ShardedNaiEngine engine(base,
-                                graph::MakeShards(base->adj(), 2, kDepth),
+  core::ShardedNaiEngine engine(base, graph::MakeShards(base->adj(), 2),
                                 *w.classifiers, nullptr);
   ServingEngine server(engine, MakePolicies());
   graph::GraphDelta bad;
@@ -154,8 +151,7 @@ TEST(SnapshotSwapTest, InvalidDeltaSurfacesThroughFutureAndKeepsServing) {
 TEST(SnapshotSwapTest, EpochStampedInResponsesAndStats) {
   SmallWorld& w = World();
   auto base = BaseSnapshot();
-  core::ShardedNaiEngine engine(base,
-                                graph::MakeShards(base->adj(), 2, kDepth),
+  core::ShardedNaiEngine engine(base, graph::MakeShards(base->adj(), 2),
                                 *w.classifiers, nullptr);
   ServingEngine server(engine, MakePolicies());
 
@@ -171,45 +167,6 @@ TEST(SnapshotSwapTest, EpochStampedInResponsesAndStats) {
   EXPECT_GE(stats.stale_served, 0);
 }
 
-// Satellite 2: the halo-depth BFS behind CanServeFromShard is rebuilt when
-// a swap changes shard halos. On a 10-path split [0..4 | 5..9] with a
-// 2-hop halo, node 2 is outside shard 1's halo until the inserted edge
-// {7, 2} pulls it to halo depth 1 — steal-eligible for a 1-hop config.
-TEST(SnapshotSwapTest, HaloDepthsRecomputedAfterSwapChangesHalos) {
-  graph::Graph path = graph::PathGraph(10);
-  tensor::Matrix feats(10, World().config.feature_dim);
-  for (std::size_t i = 0; i < feats.rows() * feats.cols(); ++i) {
-    feats.data()[i] = 0.01f * static_cast<float>(i);
-  }
-  auto base = graph::MakeSnapshot(std::move(path), std::move(feats),
-                                  World().config.gamma);
-  std::vector<std::int32_t> owner = {0, 0, 0, 0, 0, 1, 1, 1, 1, 1};
-  core::ShardedNaiEngine engine(
-      base, graph::MakeShards(base->adj(), owner, /*halo=*/2),
-      *World().classifiers, nullptr, /*use_stationary=*/false);
-
-  core::InferenceConfig cfg;
-  cfg.t_max = 1;
-  EXPECT_TRUE(engine.CanServeFromShard(1, 4, cfg));   // depth 1 in halo
-  EXPECT_FALSE(engine.CanServeFromShard(1, 3, cfg));  // depth 2: row inexact
-  EXPECT_FALSE(engine.CanServeFromShard(1, 2, cfg));  // outside the halo
-
-  const auto pinned = engine.PinState();
-  graph::GraphDelta delta;
-  delta.AddEdge(7, 2);
-  graph::SnapshotBuilder builder(base);
-  engine.SwapSnapshot(builder.Apply(delta));
-
-  // New halo: 2 is adjacent to owned node 7 -> depth 1, eligible; 1 and 3
-  // land at depth 2 (still too shallow for an exact 1-hop BFS).
-  EXPECT_TRUE(engine.CanServeFromShard(1, 2, cfg));
-  EXPECT_FALSE(engine.CanServeFromShard(1, 1, cfg));
-  EXPECT_FALSE(engine.CanServeFromShard(1, 3, cfg));
-  // The pinned pre-swap state still answers with the old halo — the state
-  // overload is what keeps an in-flight steal check consistent.
-  EXPECT_FALSE(engine.CanServeFromShard(*pinned, 1, 2, cfg));
-}
-
 // Queries racing ApplyDeltas: client threads hammer Submit while several
 // swaps land. Every response must be served and stamped with some epoch the
 // engine actually passed through; stats stay consistent. (The interesting
@@ -217,8 +174,7 @@ TEST(SnapshotSwapTest, HaloDepthsRecomputedAfterSwapChangesHalos) {
 TEST(SnapshotSwapTest, ConcurrentQueriesAcrossSwapsStaySafe) {
   SmallWorld& w = World();
   auto base = BaseSnapshot();
-  core::ShardedNaiEngine engine(base,
-                                graph::MakeShards(base->adj(), 2, kDepth),
+  core::ShardedNaiEngine engine(base, graph::MakeShards(base->adj(), 2),
                                 *w.classifiers, nullptr);
   ServingOptions options;
   options.scheduler.stealing = true;

@@ -149,8 +149,7 @@ TEST(MmapEngineTest, ShardedBitExactAcrossShardCountsAndBackends) {
 
   for (const int shards : {1, 2, 4}) {
     ShardedNaiEngine sharded(
-        w.mmap_snapshot, graph::MakeShards(w.mmap_snapshot->adj(), shards,
-                                           kDepth),
+        w.mmap_snapshot, graph::MakeShards(w.mmap_snapshot->adj(), shards),
         *w.classifiers, nullptr);
     sharded.AttachQuantizedClassifiers(w.quantized.get());
     for (const InferenceConfig& config : QosConfigs()) {
@@ -161,11 +160,10 @@ TEST(MmapEngineTest, ShardedBitExactAcrossShardCountsAndBackends) {
     }
   }
 
-  // The identity partition — the out-of-core configuration: one shard, no
-  // materialized subgraph, the engine reads the mapped store directly.
+  // The identity partition — the out-of-core configuration: one shard
+  // built from the node count alone, the engine reads the mapped store.
   ShardedNaiEngine identity(
-      w.mmap_snapshot,
-      graph::IdentityShards(w.mmap_snapshot->num_nodes(), kDepth),
+      w.mmap_snapshot, graph::IdentityShards(w.mmap_snapshot->num_nodes()),
       *w.classifiers, nullptr);
   identity.AttachQuantizedClassifiers(w.quantized.get());
   for (const InferenceConfig& config : QosConfigs()) {
@@ -212,8 +210,7 @@ TEST(MmapEngineTest, SnapshotBuilderIngestsAgainstMmapBase) {
 TEST(MmapEngineTest, ServingStatsReportStoreResidency) {
   World w = MakeWorld();
   ShardedNaiEngine engine(
-      w.mmap_snapshot,
-      graph::IdentityShards(w.mmap_snapshot->num_nodes(), kDepth),
+      w.mmap_snapshot, graph::IdentityShards(w.mmap_snapshot->num_nodes()),
       *w.classifiers, nullptr);
   engine.AttachQuantizedClassifiers(w.quantized.get());
   serve::ServingEngine server(engine, serve::DefaultQosPolicyTable(kDepth),
@@ -225,8 +222,7 @@ TEST(MmapEngineTest, ServingStatsReportStoreResidency) {
   EXPECT_LE(stats.store_resident_bytes, stats.store_mapped_bytes);
 
   ShardedNaiEngine mem_engine(
-      w.mem_snapshot,
-      graph::IdentityShards(w.mem_snapshot->num_nodes(), kDepth),
+      w.mem_snapshot, graph::IdentityShards(w.mem_snapshot->num_nodes()),
       *w.classifiers, nullptr);
   mem_engine.AttachQuantizedClassifiers(w.quantized.get());
   serve::ServingEngine mem_server(mem_engine,
