@@ -106,46 +106,6 @@ void PrintRow(const AbRow& row) {
   std::printf("\n");
 }
 
-/// Splices `section` (a JSON object body) into `path` under the "kernels"
-/// key: appended to an existing object (bench_serving_qos's artifact),
-/// replacing any previous kernels section, or written as a fresh object
-/// when the file is missing.
-bool SpliceKernelsJson(const char* path, const std::string& section) {
-  std::string existing;
-  if (std::FILE* in = std::fopen(path, "rb")) {
-    char buf[4096];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof buf, in)) > 0) existing.append(buf, n);
-    std::fclose(in);
-  }
-  const std::size_t prev = existing.find("\"kernels\"");
-  if (prev != std::string::npos) {
-    const std::size_t comma = existing.rfind(',', prev);
-    existing.erase(comma == std::string::npos ? prev : comma);
-  } else {
-    const std::size_t close = existing.find_last_of('}');
-    if (close == std::string::npos) {
-      existing.clear();
-    } else {
-      existing.erase(close);
-    }
-  }
-  while (!existing.empty() &&
-         (existing.back() == '\n' || existing.back() == ' ' ||
-          existing.back() == ',')) {
-    existing.pop_back();
-  }
-  if (existing.empty()) existing = "{";
-
-  std::FILE* out = std::fopen(path, "w");
-  if (out == nullptr) return false;
-  const char* sep = existing.back() == '{' ? "\n" : ",\n";
-  std::fprintf(out, "%s%s  \"kernels\": %s\n}\n", existing.c_str(), sep,
-               section.c_str());
-  std::fclose(out);
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -276,7 +236,7 @@ int main(int argc, char** argv) {
               i + 1 < rows.size() ? "," : "");
     }
     Appendf(section, "    ]\n  }");
-    if (SpliceKernelsJson(json_path, section)) {
+    if (bench::SpliceJsonSection(json_path, "kernels", section)) {
       std::printf("kernels section spliced into %s\n", json_path);
     } else {
       std::printf("WARNING: could not write %s\n", json_path);

@@ -1,7 +1,7 @@
 // Shard-count scaling of the serving engine: the same trained NAI
-// deployment served unsharded and from {1, 2, 4, 8} graph shards, each
-// shard on its own thread-pool slice, with inter-batch parallelism filling
-// every slice on both sides (so the comparison is core-for-core fair).
+// deployment served unsharded — one batch stream on all pool threads — and
+// from {1, 2, 4, 8} graph shards — k concurrent batch streams on
+// threads/k each, so both sides get the same cores.
 // A shard owns a range of nodes and serves them with an engine over the
 // whole graph snapshot, so building a sharded engine copies no graph data.
 // Reports the sharded engine's build cost, NAId and vanilla serving latency
@@ -53,12 +53,10 @@ int main(int argc, char** argv) {
       eval::MakeDefaultSettings(pipeline, ds, core::NapKind::kDistance);
   core::InferenceConfig naid_cfg = napd[0].config;
   naid_cfg.batch_size = 500;
-  naid_cfg.inter_batch_parallelism = 0;  // one batch shard per pool thread
   core::InferenceConfig vanilla_cfg;
   vanilla_cfg.nap = core::NapKind::kNone;
   vanilla_cfg.t_max = 0;
   vanilla_cfg.batch_size = 500;
-  vanilla_cfg.inter_batch_parallelism = 0;
   const eval::MethodResult ref_naid =
       eval::RunNai(*engine, ds, test, naid_cfg, "NAId");
   const eval::MethodResult ref_vanilla =

@@ -99,48 +99,6 @@ ChurnCell RunChurnCell(eval::TrainedPipeline& pipeline,
   return cell;
 }
 
-/// Splices `section` (a JSON object body) into `path` under the
-/// "update_churn" key: appended to an existing object (bench_serving_qos's
-/// artifact), replacing any previous update_churn section, or written as a
-/// fresh object when the file is missing.
-bool SpliceUpdateChurnJson(const char* path, const std::string& section) {
-  std::string existing;
-  if (std::FILE* in = std::fopen(path, "rb")) {
-    char buf[4096];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof buf, in)) > 0) existing.append(buf, n);
-    std::fclose(in);
-  }
-  const std::size_t prev = existing.find("\"update_churn\"");
-  if (prev != std::string::npos) {
-    // Rerun: drop the old section (and its leading comma) plus everything
-    // after it — the closing brace is re-appended below.
-    const std::size_t comma = existing.rfind(',', prev);
-    existing.erase(comma == std::string::npos ? prev : comma);
-  } else {
-    const std::size_t close = existing.find_last_of('}');
-    if (close == std::string::npos) {
-      existing.clear();
-    } else {
-      existing.erase(close);  // strip the closing brace, keep the body
-    }
-  }
-  while (!existing.empty() &&
-         (existing.back() == '\n' || existing.back() == ' ' ||
-          existing.back() == ',')) {
-    existing.pop_back();
-  }
-  if (existing.empty()) existing = "{";
-
-  std::FILE* out = std::fopen(path, "w");
-  if (out == nullptr) return false;
-  const char* sep = existing.back() == '{' ? "\n" : ",\n";
-  std::fprintf(out, "%s%s  \"update_churn\": %s\n}\n", existing.c_str(), sep,
-               section.c_str());
-  std::fclose(out);
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -312,7 +270,7 @@ int main(int argc, char** argv) {
               static_cast<long long>(c.snapshot_swaps));
     }
     section += "\n    ]\n  }";
-    if (!SpliceUpdateChurnJson(json_path, section)) {
+    if (!bench::SpliceJsonSection(json_path, "update_churn", section)) {
       std::printf("FAIL: cannot write %s\n", json_path);
       return 1;
     }

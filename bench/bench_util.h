@@ -3,6 +3,7 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "src/eval/harness.h"
 #include "src/runtime/flags.h"
@@ -62,6 +63,73 @@ inline void Banner(const std::string& title) {
 /// Speedup annotation like the paper's "(75x)" brackets.
 inline double Ratio(double base, double value) {
   return value > 0.0 ? base / value : 0.0;
+}
+
+/// Writes `section` (a JSON value) into the JSON object in `path` as its
+/// top-level member `key`: a previous `key` member is dropped wherever it
+/// sits, every other member is kept verbatim, and the new member goes last.
+/// A missing file becomes a fresh one-member object. Returns false when
+/// `path` cannot be written. Bench binaries use this to add their section
+/// to bench_serving_qos's BENCH_serving.json record.
+inline bool SpliceJsonSection(const char* path, const std::string& key,
+                              const std::string& section) {
+  std::string doc;
+  if (std::FILE* in = std::fopen(path, "rb")) {
+    char buf[4096];
+    std::size_t n;
+    while ((n = std::fread(buf, 1, sizeof buf, in)) > 0) doc.append(buf, n);
+    std::fclose(in);
+  }
+  // Split the outer object into its members: commas and the closing brace
+  // at depth 1, outside strings, end a member.
+  const std::string quoted = "\"" + key + "\"";
+  std::vector<std::string> members;
+  auto keep = [&](std::size_t begin, std::size_t end) {
+    const std::size_t first = doc.find_first_not_of(" \t\r\n", begin);
+    if (first >= end) return;
+    const std::size_t last = doc.find_last_not_of(" \t\r\n", end - 1);
+    std::string member = doc.substr(first, last + 1 - first);
+    const std::size_t colon = member.find_first_not_of(" \t\r\n",
+                                                       quoted.size());
+    const bool same_key = member.compare(0, quoted.size(), quoted) == 0 &&
+                          colon != std::string::npos && member[colon] == ':';
+    if (!same_key) members.push_back(std::move(member));
+  };
+  int depth = 0;
+  bool in_string = false;
+  std::size_t begin = 0;
+  for (std::size_t i = 0; i < doc.size(); ++i) {
+    const char c = doc[i];
+    if (in_string) {
+      if (c == '\\') {
+        ++i;
+      } else if (c == '"') {
+        in_string = false;
+      }
+    } else if (c == '"') {
+      in_string = true;
+    } else if (c == '{' || c == '[') {
+      if (++depth == 1) begin = i + 1;
+    } else if (c == '}' || c == ']') {
+      if (depth-- == 1) {
+        keep(begin, i);
+        break;
+      }
+    } else if (c == ',' && depth == 1) {
+      keep(begin, i);
+      begin = i + 1;
+    }
+  }
+
+  std::FILE* out = std::fopen(path, "w");
+  if (out == nullptr) return false;
+  std::fprintf(out, "{\n");
+  for (const std::string& member : members) {
+    std::fprintf(out, "  %s,\n", member.c_str());
+  }
+  std::fprintf(out, "  %s: %s\n}\n", quoted.c_str(), section.c_str());
+  std::fclose(out);
+  return true;
 }
 
 }  // namespace nai::bench

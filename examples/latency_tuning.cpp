@@ -74,22 +74,5 @@ int main(int argc, char** argv) {
                 r.stats.average_depth());
   }
 
-  // Serving knob: independent batches executed concurrently on the runtime
-  // pool. Predictions and exit depths are bit-identical to the serial run;
-  // only wall-clock changes (with the pool's thread count).
-  std::printf("\ninter-batch parallelism (threads=%d):\n",
-              engine->exec_context().num_threads());
-  core::InferenceConfig serial_cfg = base[1].config;
-  serial_cfg.batch_size = 200;
-  const auto serial = eval::RunNai(*engine, ds, ds.split.test_nodes,
-                                   serial_cfg, "");
-  core::InferenceConfig par_cfg = serial_cfg;
-  par_cfg.inter_batch_parallelism = 0;  // one shard per pool thread
-  const auto par = eval::RunNai(*engine, ds, ds.split.test_nodes, par_cfg, "");
-  std::printf("  serial  : ACC %.2f%%  avg depth %.2f\n",
-              serial.row.accuracy * 100, serial.stats.average_depth());
-  std::printf("  parallel: ACC %.2f%%  avg depth %.2f  (predictions %s)\n",
-              par.row.accuracy * 100, par.stats.average_depth(),
-              par.predictions == serial.predictions ? "identical" : "DIFFER");
   return 0;
 }

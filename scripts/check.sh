@@ -129,7 +129,7 @@ stage_bench() {
   cmake -B "${BUILD_DIR}-release" -S . -DCMAKE_BUILD_TYPE=Release
   cmake --build "${BUILD_DIR}-release" -j "${JOBS}" \
     --target bench_serving_qos bench_update_churn bench_kernels \
-    bench_outofcore
+    bench_outofcore bench_shard_scaling
   NAI_SCALE="${NAI_BENCH_SCALE:-0.1}" "${BUILD_DIR}-release/bench_serving_qos" \
     --shards 2 --threads 2 --qos 50 --json BENCH_serving.json
   NAI_SCALE="${NAI_BENCH_SCALE:-0.1}" "${BUILD_DIR}-release/bench_update_churn" \
@@ -142,6 +142,10 @@ stage_bench() {
   NAI_SCALE="${NAI_BENCH_SCALE:-0.02}" "${BUILD_DIR}-release/bench_outofcore" \
     --threads 2 --requests 4000 --json BENCH_outofcore.json
   echo "out-of-core smoke wrote $(pwd)/BENCH_outofcore.json"
+  # Shard-scaling exactness gate: 1/2/4/8 shards must predict exactly as
+  # the unsharded engine (nonzero exit on any mismatch).
+  NAI_SCALE="${NAI_BENCH_SCALE:-0.1}" "${BUILD_DIR}-release/bench_shard_scaling" \
+    --threads 2
 }
 
 run_stage() {

@@ -96,12 +96,15 @@ InferenceResult NaiEngine::Infer(const std::vector<std::int32_t>& nodes,
         "NaiEngine::Infer: config requests the int8 classifier but no "
         "QuantizedClassifierStack is attached");
   }
-  if (config.nap == NapKind::kDistance) {
-    assert(stationary_.has_value() && "NAPd requires a stationary state");
+  if (config.nap != NapKind::kNone && !stationary_.has_value()) {
+    throw ValidationError(
+        "NaiEngine::Infer: NAPd/NAPg configs need a stationary state but "
+        "the engine was built with use_stationary = false");
   }
-  if (config.nap == NapKind::kGate) {
-    assert(gates_ != nullptr && stationary_.has_value() &&
-           "NAPg requires trained gates and a stationary state");
+  if (config.nap == NapKind::kGate && gates_ == nullptr) {
+    throw ValidationError(
+        "NaiEngine::Infer: NAPg config but the engine was built without "
+        "gates (EngineOptions::gates)");
   }
 
   InferenceResult result;
@@ -111,63 +114,16 @@ InferenceResult NaiEngine::Infer(const std::vector<std::int32_t>& nodes,
   result.stats.exits_at_depth.assign(t_max, 0);
 
   const std::size_t bs = std::max<std::size_t>(1, config.batch_size);
-  const std::size_t num_batches = (nodes.size() + bs - 1) / bs;
 
   // Pin the whole run — including kernels deep in the classifier forward
   // pass that only see default ExecContexts — to this engine's pool.
-  runtime::ThreadPool& pool = ctx_.pool_or_default();
-  runtime::ScopedDefaultPool scoped_pool(pool);
-  std::size_t shards = config.inter_batch_parallelism == 0
-                           ? static_cast<std::size_t>(pool.num_threads())
-                           : static_cast<std::size_t>(std::max(
-                                 config.inter_batch_parallelism, 1));
-  shards = std::min(shards, num_batches);
-
-  // Shared batch protocol of the sequential and parallel paths: every
-  // batch writes its predictions/exit depths into disjoint pre-sized slots
-  // of the result, so the outcome is bit-identical regardless of how batch
-  // ranges are scheduled.
-  auto run_batches = [&](std::size_t first_batch, std::size_t last_batch,
-                         BatchScratch& scratch,
-                         InferenceStats& stats) {
-    std::vector<std::int32_t> batch_pred;
-    std::vector<std::int32_t> batch_depth;
-    for (std::size_t b = first_batch; b < last_batch; ++b) {
-      const std::size_t begin = b * bs;
-      const std::size_t end = std::min(nodes.size(), begin + bs);
-      const std::vector<std::int32_t> batch(nodes.begin() + begin,
-                                            nodes.begin() + end);
-      batch_pred.assign(batch.size(), -1);
-      batch_depth.assign(batch.size(), -1);
-      InferBatch(batch, config, t_max, scratch, batch_pred, batch_depth,
-                 stats);
-      std::copy(batch_pred.begin(), batch_pred.end(),
-                result.predictions.begin() + begin);
-      std::copy(batch_depth.begin(), batch_depth.end(),
-                result.exit_depths.begin() + begin);
-    }
-  };
-
-  if (shards <= 1) {
-    run_batches(0, num_batches, scratch_, result.stats);
-  } else {
-    // Contiguous shards of batches, one scratch and one local stats block
-    // per shard; shard stats are merged in shard order afterwards.
-    const std::size_t batches_per_shard = (num_batches + shards - 1) / shards;
-    std::vector<InferenceStats> shard_stats(shards);
-    for (InferenceStats& st : shard_stats) st.exits_at_depth.assign(t_max, 0);
-
-    // Grain >= kMinChunkWork forces one shard per dispatched chunk.
-    pool.ParallelFor(0, shards, runtime::ThreadPool::kMinChunkWork,
-                     [&](std::size_t s0, std::size_t s1) {
-      for (std::size_t s = s0; s < s1; ++s) {
-        BatchScratch scratch(norm_adj_);
-        const std::size_t first = s * batches_per_shard;
-        run_batches(first, std::min(num_batches, first + batches_per_shard),
-                    scratch, shard_stats[s]);
-      }
-    });
-    for (const InferenceStats& st : shard_stats) result.stats.Accumulate(st);
+  runtime::ScopedDefaultPool scoped_pool(ctx_.pool_or_default());
+  for (std::size_t begin = 0; begin < nodes.size(); begin += bs) {
+    const std::size_t end = std::min(nodes.size(), begin + bs);
+    const std::vector<std::int32_t> batch(nodes.begin() + begin,
+                                          nodes.begin() + end);
+    InferBatch(batch, config, t_max, result.predictions.data() + begin,
+               result.exit_depths.data() + begin, result.stats);
   }
   result.stats.wall_time_ms = MsSince(run_start);
   return result;
@@ -232,8 +188,8 @@ void NaiEngine::BatchScratch::Reset(int t_max) {
 }
 
 void NaiEngine::ExtendLevel(int level, std::int64_t prefix,
-                            BatchScratch& scratch,
-                            InferenceStats& stats) const {
+                            InferenceStats& stats) {
+  BatchScratch& scratch = scratch_;
   const graph::SupportSampler& sampler = scratch.sampler;
   const std::vector<std::int32_t>& nodes = sampler.support_nodes();
   const std::vector<std::int32_t>& ring = sampler.ring();
@@ -276,10 +232,9 @@ void NaiEngine::ExtendLevel(int level, std::int64_t prefix,
 
 void NaiEngine::InferBatch(const std::vector<std::int32_t>& batch,
                            const InferenceConfig& config, int t_max,
-                           BatchScratch& scratch,
-                           std::vector<std::int32_t>& out_predictions,
-                           std::vector<std::int32_t>& out_depths,
-                           InferenceStats& stats) {
+                           std::int32_t* out_predictions,
+                           std::int32_t* out_depths, InferenceStats& stats) {
+  BatchScratch& scratch = scratch_;
   const std::size_t f = snapshot_->feature_dim();
   const std::size_t B = batch.size();
   const int t_min = std::clamp(config.t_min, 1, t_max);
@@ -357,7 +312,7 @@ void NaiEngine::InferBatch(const std::vector<std::int32_t>& batch,
     // Line 5, for every level up to d: only the rows the check at d reads.
     auto tf = Clock::now();
     for (int j = 1; j <= d; ++j) {
-      ExtendLevel(j, sampler.ring_counts()[d - j], scratch, stats);
+      ExtendLevel(j, sampler.ring_counts()[d - j], stats);
     }
     stats.fp_time_ms += MsSince(tf);
 

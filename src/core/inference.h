@@ -34,12 +34,6 @@ struct InferenceConfig {
   int t_min = 1;            ///< minimum propagation depth T_min
   int t_max = 0;            ///< maximum propagation depth T_max (0 = use k)
   std::size_t batch_size = 500;
-  /// Maximum number of independent batches executed concurrently on the
-  /// engine's thread pool: 1 (or negative) runs batches sequentially (the
-  /// default), 0 means one shard per pool thread, n > 1 caps the shards at
-  /// n. Results are bit-identical to the sequential run for every value
-  /// (see NaiEngine::Infer).
-  int inter_batch_parallelism = 1;
   /// Classify exited nodes with the engine's attached INT8 classifier bank
   /// (QuantizedClassifierStack) instead of the float heads — the arithmetic
   /// of the serving tier kThroughputFirst. Propagation and NAP decisions
@@ -64,9 +58,9 @@ struct InferenceStats {
   std::int64_t nap_macs = 0;            ///< distance or gate decisions
   std::int64_t stationary_macs = 0;     ///< X^(∞) rows (rank-1 form)
   std::int64_t classification_macs = 0; ///< classifier forward passes
-  /// Per-stage timers are *busy* times summed over batches (and over
-  /// concurrent shards when inter_batch_parallelism > 1), so their sum can
-  /// exceed the run's elapsed time; use wall_time_ms for latency.
+  /// Per-stage timers are *busy* times summed over batches (and, for a
+  /// ShardedNaiEngine run, over its concurrent shards); use wall_time_ms
+  /// for latency.
   double fp_time_ms = 0.0;              ///< propagation + NAP decisions
   double sample_time_ms = 0.0;          ///< supporting-node sampling
   double stationary_time_ms = 0.0;
@@ -89,9 +83,9 @@ struct InferenceStats {
 
   /// Adds `other`'s counters, stage timers and per-depth exit histogram
   /// into this one (num_nodes and wall_time_ms excluded — they describe
-  /// the whole run, not a shard). Used to merge per-shard stats
-  /// deterministically after parallel batch execution; all integer
-  /// counters are order-independent.
+  /// the whole run, not a part). Used to merge per-config-group and
+  /// per-shard stats deterministically; all integer counters are
+  /// order-independent.
   void Accumulate(const InferenceStats& other);
 };
 
@@ -152,12 +146,10 @@ struct EngineOptions {
 /// exactly the work of fixed-depth T_max propagation, and early exits only
 /// remove rows from it.
 ///
-/// Threading: kernels run on the pool of the engine's ExecContext, and
-/// `InferenceConfig::inter_batch_parallelism` additionally executes the
-/// independent batches concurrently (each shard gets its own sampler and
-/// local stats; predictions/exit_depths are written to pre-sized slots and
-/// stats merged in shard order, so results are bit-exact and
-/// order-independent for every thread count).
+/// Threading: batches run one after another; their kernels run on the pool
+/// of the engine's ExecContext, and results are bit-exact for every thread
+/// count. Running batches concurrently is ShardedNaiEngine's job: each of
+/// its shards is one of these engines on its own pool.
 class NaiEngine {
  public:
   /// Serve the graph held by `snapshot` (any storage backend) with the
@@ -182,9 +174,11 @@ class NaiEngine {
 
   /// Classifies `nodes` (global ids in the full graph). Thread-compatible
   /// but not thread-safe (shared batch scratch). Throws
-  /// nai::ValidationError on an out-of-range node id, or when
-  /// `config.int8_classifier` is set with no quantized stack attached; the
-  /// engine stays usable after either.
+  /// nai::ValidationError on an out-of-range node id, when
+  /// `config.int8_classifier` is set with no quantized stack attached, when
+  /// a NAPd/NAPg config meets an engine without a stationary state, or when
+  /// a NAPg config meets an engine without gates; the engine stays usable
+  /// after any of them.
   InferenceResult Infer(const std::vector<std::int32_t>& nodes,
                         const InferenceConfig& config);
 
@@ -211,7 +205,7 @@ class NaiEngine {
 
   /// Per-batch working state of the propagation schedule, reused across
   /// batches so steady-state serving does not reallocate the per-level
-  /// buffers. One per concurrently running batch.
+  /// buffers.
   struct BatchScratch {
     explicit BatchScratch(graph::CsrView norm_adj) : sampler(norm_adj) {}
 
@@ -235,17 +229,17 @@ class NaiEngine {
     std::vector<std::int32_t> pending;
   };
 
+  /// Classifies one batch on scratch_, writing each node's prediction and
+  /// exit depth to its slot of `out_predictions` / `out_depths` (aligned
+  /// with `batch`).
   void InferBatch(const std::vector<std::int32_t>& batch,
                   const InferenceConfig& config, int t_max,
-                  BatchScratch& scratch,
-                  std::vector<std::int32_t>& out_predictions,
-                  std::vector<std::int32_t>& out_depths,
+                  std::int32_t* out_predictions, std::int32_t* out_depths,
                   InferenceStats& stats);
 
   /// Computes X^(level) on the ring prefix [0, prefix) that is not yet
   /// computed, from X^(level - 1).
-  void ExtendLevel(int level, std::int64_t prefix, BatchScratch& scratch,
-                   InferenceStats& stats) const;
+  void ExtendLevel(int level, std::int64_t prefix, InferenceStats& stats);
 
   /// Keeps the stores norm_adj_ and the feature rows point into alive.
   std::shared_ptr<const graph::GraphSnapshot> snapshot_;

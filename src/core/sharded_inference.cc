@@ -177,6 +177,16 @@ void ShardedNaiEngine::ValidateConfig(const InferenceConfig& config) const {
         "QuantizedClassifierStack is attached "
         "(AttachQuantizedClassifiers)");
   }
+  if (config.nap != NapKind::kNone && !use_stationary_) {
+    throw ValidationError(
+        "ShardedNaiEngine: NAPd/NAPg config but the engine was built with "
+        "use_stationary = false");
+  }
+  if (config.nap == NapKind::kGate && gates_ == nullptr) {
+    throw ValidationError(
+        "ShardedNaiEngine: NAPg config but the engine was built without "
+        "gates");
+  }
 }
 
 void ShardedNaiEngine::AttachQuantizedClassifiers(
@@ -193,78 +203,19 @@ void ShardedNaiEngine::AttachQuantizedClassifiers(
 
 InferenceResult ShardedNaiEngine::Infer(const std::vector<std::int32_t>& nodes,
                                         const InferenceConfig& config) {
-  const auto run_start = Clock::now();
   ValidateConfig(config);
-  const int t_max = config.effective_t_max(classifiers_->depth());
-
-  // One state for the whole call: every batch of this run sees the graph
-  // version pinned here, even if a swap lands mid-call.
-  const std::shared_ptr<const ShardState> state = PinState();
-  const std::size_t num_shards = state->sharded.num_shards();
-  const std::int64_t n = static_cast<std::int64_t>(state->sharded.owner.size());
-
-  // Route every query to its owning shard, remembering its slot in the
-  // caller's order. Relative order within a shard is preserved, so each
-  // shard's batches are a deterministic function of the query list alone.
-  std::vector<std::vector<std::int32_t>> shard_queries(num_shards);
-  std::vector<std::vector<std::size_t>> shard_slots(num_shards);
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    const std::int32_t v = nodes[i];
-    if (v < 0 || static_cast<std::int64_t>(v) >= n) {
-      throw std::out_of_range("ShardedNaiEngine: query node " +
-                              std::to_string(v) + " outside [0, " +
-                              std::to_string(n) + ")");
-    }
-    const std::int32_t s = state->sharded.owner[v];
-    shard_queries[s].push_back(v);
-    shard_slots[s].push_back(i);
-  }
-
-  InferenceResult result;
-  result.predictions.resize(nodes.size());
-  result.exit_depths.resize(nodes.size());
-  result.stats.num_nodes = static_cast<std::int64_t>(nodes.size());
-  result.stats.exits_at_depth.assign(t_max, 0);
-
-  // One task per non-empty shard, run concurrently on plain threads (shard
-  // pools are distinct, so a pool-dispatched loop would inline the nested
-  // kernels instead — see runtime::RunConcurrently): each task pins its
-  // engine's dedicated pool, so shard kernels fan out on disjoint workers.
-  // Writes go to the caller-order slots of this shard's queries only
-  // (disjoint), and the join inside RunConcurrently orders them before the
-  // merge; a shard failure is rethrown on the calling thread.
-  std::vector<InferenceStats> shard_stats(num_shards);
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(num_shards);
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    if (shard_queries[s].empty()) continue;
-    tasks.push_back([s, &state, &config, &shard_queries, &shard_slots, &result,
-                     &shard_stats] {
-      InferenceResult local =
-          state->engines[s]->Infer(shard_queries[s], config);
-      const std::vector<std::size_t>& slots = shard_slots[s];
-      for (std::size_t j = 0; j < slots.size(); ++j) {
-        result.predictions[slots[j]] = local.predictions[j];
-        result.exit_depths[slots[j]] = local.exit_depths[j];
-      }
-      shard_stats[s] = std::move(local.stats);
-    });
-  }
-  runtime::RunConcurrently(tasks);
-
-  // Deterministic merge in shard order. Accumulate excludes num_nodes and
-  // wall_time_ms by design: both describe the whole run and are set exactly
-  // once here, never summed over shards.
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    if (!shard_queries[s].empty()) result.stats.Accumulate(shard_stats[s]);
-  }
-  result.stats.wall_time_ms = MsSince(run_start);
+  std::vector<ConfiguredQuery> queries;
+  queries.reserve(nodes.size());
+  for (const std::int32_t v : nodes) queries.push_back({v, &config});
+  InferenceResult result = InferRouted(queries);
+  // An empty list reaches no shard; the histogram still has t_max slots.
+  result.stats.exits_at_depth.resize(
+      config.effective_t_max(classifiers_->depth()), 0);
   return result;
 }
 
 InferenceResult ShardedNaiEngine::InferMixed(
     const std::vector<ConfiguredQuery>& queries) {
-  const auto run_start = Clock::now();
   // Every distinct config must pass ValidateConfig before any shard
   // starts serving (the linear scan mirrors NaiEngine::InferMixed).
   std::vector<const InferenceConfig*> seen;
@@ -279,13 +230,21 @@ InferenceResult ShardedNaiEngine::InferMixed(
       seen.push_back(c);
     }
   }
+  return InferRouted(queries);
+}
 
+InferenceResult ShardedNaiEngine::InferRouted(
+    const std::vector<ConfiguredQuery>& queries) {
+  const auto run_start = Clock::now();
+  // One state for the whole call: every batch of this run sees the graph
+  // version pinned here, even if a swap lands mid-call.
   const std::shared_ptr<const ShardState> state = PinState();
   const std::size_t num_shards = state->sharded.num_shards();
   const std::int64_t n = static_cast<std::int64_t>(state->sharded.owner.size());
 
-  // Route by owning shard exactly as Infer does, but carry each query's
-  // config along (caller-order slots).
+  // Route every query to its owning shard, remembering its slot in the
+  // caller's order. Relative order within a shard is preserved, so each
+  // shard's batches are a deterministic function of the query list alone.
   std::vector<std::vector<ConfiguredQuery>> shard_queries(num_shards);
   std::vector<std::vector<std::size_t>> shard_slots(num_shards);
   for (std::size_t i = 0; i < queries.size(); ++i) {
@@ -305,6 +264,13 @@ InferenceResult ShardedNaiEngine::InferMixed(
   result.exit_depths.resize(queries.size());
   result.stats.num_nodes = static_cast<std::int64_t>(queries.size());
 
+  // One task per non-empty shard, run concurrently on plain threads (shard
+  // pools are distinct, so a pool-dispatched loop would inline the nested
+  // kernels instead — see runtime::RunConcurrently): each shard engine
+  // pins its dedicated pool, so shard kernels fan out on disjoint workers.
+  // Writes go to the caller-order slots of this shard's queries only
+  // (disjoint), and the join inside RunConcurrently orders them before the
+  // merge; a shard failure is rethrown on the calling thread.
   std::vector<InferenceStats> shard_stats(num_shards);
   std::vector<std::function<void()>> tasks;
   tasks.reserve(num_shards);
@@ -323,6 +289,9 @@ InferenceResult ShardedNaiEngine::InferMixed(
   }
   runtime::RunConcurrently(tasks);
 
+  // Deterministic merge in shard order. Accumulate excludes num_nodes and
+  // wall_time_ms by design: both describe the whole run and are set exactly
+  // once here, never summed over shards.
   for (std::size_t s = 0; s < num_shards; ++s) {
     if (!shard_queries[s].empty()) result.stats.Accumulate(shard_stats[s]);
   }

@@ -17,6 +17,8 @@ namespace nai::core {
 /// Serves Algorithm-1 inference from a partitioned graph: one NaiEngine per
 /// shard, each with a dedicated thread pool (an equal slice of the total),
 /// queries routed to their owning shard and all shards running concurrently.
+/// This is the one place batches run concurrently: a NaiEngine runs its
+/// batches one after another, so k shards are k concurrent batch streams.
 ///
 /// A shard is an ownership set, not a subgraph. Every shard engine is built
 /// with NaiEngine::FromSnapshot over the one snapshot, so it is the
@@ -107,10 +109,12 @@ class ShardedNaiEngine {
   /// The graph version currently being served.
   std::uint64_t version() const { return PinState()->version; }
 
-  /// Classifies `nodes` (global ids). Thread-compatible but not
-  /// thread-safe, like NaiEngine::Infer. Pins one state for the whole
-  /// call. Throws nai::ValidationError when ValidateConfig rejects
-  /// `config` and std::out_of_range for query ids outside the graph.
+  /// Classifies `nodes` (global ids): InferMixed with `config` on every
+  /// query, except that the exit histogram has t_max slots even for an
+  /// empty list. Thread-compatible but not thread-safe, like
+  /// NaiEngine::Infer. Pins one state for the whole call. Throws
+  /// nai::ValidationError when ValidateConfig rejects `config` and
+  /// std::out_of_range for query ids outside the graph.
   InferenceResult Infer(const std::vector<std::int32_t>& nodes,
                         const InferenceConfig& config);
 
@@ -134,8 +138,9 @@ class ShardedNaiEngine {
   }
 
   /// Checks that this engine can serve `config`: a config that requests
-  /// the int8 classifier needs an attached quantized stack. Throws
-  /// nai::ValidationError otherwise. Infer/InferMixed call this on every
+  /// the int8 classifier needs an attached quantized stack, a NAPd/NAPg
+  /// config needs the stationary views (use_stationary) and a NAPg config
+  /// needs gates. Throws nai::ValidationError otherwise. Infer/InferMixed call this on every
   /// config; the serving front-end calls it once per QoS policy at
   /// construction, because it bypasses the routed entry points and pumps
   /// the shard engines directly.
@@ -163,6 +168,11 @@ class ShardedNaiEngine {
   /// The current state by reference; kept alive by the engine's own handle
   /// until the next swap (callers needing longer pin it).
   const ShardState& CurrentState() const;
+  /// The one route/scatter/merge path behind Infer and InferMixed, for
+  /// already-validated configs: routes each query to its owning shard and
+  /// runs the non-empty shards concurrently, each through its engine's
+  /// InferMixed.
+  InferenceResult InferRouted(const std::vector<ConfiguredQuery>& queries);
   /// Builds a complete state for `sharded` over `snapshot`. Creates any
   /// missing shard pools as a side effect.
   std::shared_ptr<const ShardState> BuildState(

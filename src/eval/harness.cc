@@ -486,9 +486,8 @@ MethodResult ScoreNaiRun(core::InferenceResult result,
   CostCounters cost;
   cost.total_macs = out.stats.total_macs();
   cost.fp_macs = out.stats.fp_macs();
-  // Wall-clock, not the sum of stage timers: with inter-batch parallelism
-  // or sharding the per-shard busy times overlap and their sum would
-  // overstate latency.
+  // Wall-clock, not the sum of stage timers: with sharding the per-shard
+  // busy times overlap and their sum would overstate latency.
   cost.total_time_ms = out.stats.wall_time_ms;
   cost.fp_time_ms = out.stats.fp_time_ms;
   out.row = MakeRow(name,

@@ -76,9 +76,8 @@ std::shared_ptr<const graph::GraphSnapshot> MakeStoreSnapshot(
 /// Builds the inference engine over the full graph (training + unseen
 /// nodes) for a trained pipeline, via NaiEngine::FromSnapshot on a
 /// MakeStoreSnapshot snapshot (so NAI_STORE / --store picks the storage
-/// backend). `ctx` selects the thread pool the engine's kernels and
-/// inter-batch parallelism run on (default pool — NAI_THREADS / --threads
-/// — when omitted).
+/// backend). `ctx` selects the thread pool the engine's kernels run on
+/// (default pool — NAI_THREADS / --threads — when omitted).
 std::unique_ptr<core::NaiEngine> MakeEngine(
     TrainedPipeline& pipeline, const PreparedDataset& ds,
     const runtime::ExecContext& ctx = {});

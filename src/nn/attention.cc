@@ -23,7 +23,7 @@ tensor::Matrix VectorAttention::Forward(
   assert(d == dim());
 
   // Local scratch: inference-mode Forward must not touch shared members —
-  // the engine classifies concurrent batches on the same head.
+  // concurrent shard engines classify their batches on the same head.
   tensor::Matrix scores(n, L);
   tensor::Matrix weights(n, L);
   tensor::Matrix out(n, d);

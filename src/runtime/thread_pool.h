@@ -28,7 +28,7 @@ namespace nai::runtime {
 ///
 /// Nesting: a ParallelFor issued from inside a worker (including the calling
 /// thread while it participates in an outer loop) runs inline over the whole
-/// range. Inter-batch parallelism therefore composes with kernel parallelism
+/// range, so an outer parallel loop composes with the kernels it calls
 /// without deadlock.
 class ThreadPool {
  public:

@@ -43,14 +43,15 @@ Matrix MatMulTransposeA(const Matrix& a, const Matrix& b) {
   // Serial over k to keep writes race-free; parallelize over output rows by
   // accumulating into thread-local strips would cost memory; the matrices
   // here (gradient accumulations, f x c) are small, so a single pass is fine.
+  // Each row update is the dispatched axpy, bit-exact at every level.
+  const simd::KernelSet& ks = simd::ActiveKernels();
   for (std::size_t p = 0; p < k; ++p) {
     const float* arow = a.row(p);
     const float* brow = b.row(p);
     for (std::size_t i = 0; i < m; ++i) {
       const float av = arow[i];
       if (av == 0.0f) continue;
-      float* orow = out.row(i);
-      for (std::size_t j = 0; j < n; ++j) orow[j] += av * brow[j];
+      ks.axpy(av, brow, out.row(i), n);
     }
   }
   return out;

@@ -115,28 +115,19 @@ TEST(InferenceEdgeTest, EdgelessGraphClassifiesEveryNode) {
 }
 
 TEST(InferenceEdgeTest, EmptyNodeList) {
-  auto w = MakeSmallWorld(2, models::ModelKind::kSgc, 100);
-  NaiEngine engine = MakeTestEngine(w);
-  InferenceConfig cfg;
-  const auto r = engine.Infer({}, cfg);
-  EXPECT_TRUE(r.predictions.empty());
-  EXPECT_EQ(r.stats.num_nodes, 0);
-}
-
-TEST(InferenceEdgeTest, EmptyNodeListWithParallelBatches) {
-  // Zero queries with inter-batch parallelism on: the shard planner sees
-  // zero batches and must not dispatch anything (degenerate-split serving
-  // paths hit this when a tiny graph leaves the test set empty).
+  // Zero batches (degenerate-split serving paths hit this when a tiny
+  // graph leaves the test set empty): nothing runs, the histogram still
+  // has its t_max slots.
   auto w = MakeSmallWorld(2, models::ModelKind::kSgc, 100);
   NaiEngine engine = MakeTestEngine(w);
   InferenceConfig cfg;
   cfg.nap = NapKind::kDistance;
-  cfg.inter_batch_parallelism = 4;
   const auto r = engine.Infer({}, cfg);
   EXPECT_TRUE(r.predictions.empty());
   EXPECT_TRUE(r.exit_depths.empty());
   EXPECT_EQ(r.stats.num_nodes, 0);
-  EXPECT_EQ(r.stats.exits_at_depth.size(), 2u);  // t_max slots, all zero
+  EXPECT_EQ(r.stats.exits_at_depth,
+            (std::vector<std::int64_t>{0, 0}));  // t_max slots, all zero
   EXPECT_EQ(r.stats.propagation_macs, 0);
 }
 

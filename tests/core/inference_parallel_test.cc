@@ -1,12 +1,11 @@
 // Determinism suite for the runtime-backed engine: NaiEngine::Infer must be
-// bit-exact across kernel thread counts {1, 2, 8} and with inter-batch
-// parallelism on or off, for NAPd, NAPg and the vanilla fixed-depth path.
-// Stats merging must agree too: the exit histogram and every MAC counter
-// are integers and order-independent; only wall-times may differ.
+// bit-exact across kernel thread counts {1, 2, 8} for NAPd, NAPg and the
+// vanilla fixed-depth path. Stats must agree too: the exit histogram and
+// every MAC counter are integers; only wall-times may differ.
 
 #include "src/core/inference.h"
 
-#include <numeric>
+#include <string>
 
 #include "gtest/gtest.h"
 #include "src/runtime/thread_pool.h"
@@ -32,25 +31,20 @@ void ExpectSameResult(const InferenceResult& got, const InferenceResult& want,
       << label;
 }
 
-/// Reference run fully serial (1 thread, sequential batches), then the same
-/// query re-run under every thread count x batch-parallelism combination.
+/// Reference run fully serial (1 thread), then the same query re-run under
+/// every thread count.
 void CheckDeterminism(SmallWorld& w, const GateStack* gates,
                       InferenceConfig cfg) {
   NaiEngine engine = MakeTestEngine(w, {.gates = gates});
   cfg.batch_size = 37;  // ~11 batches over the 400-node world
-  cfg.inter_batch_parallelism = 1;
   runtime::ThreadPool::SetDefaultThreads(1);
   const InferenceResult reference = engine.Infer(w.all_nodes, cfg);
 
   for (const int threads : {1, 2, 8}) {
     runtime::ThreadPool::SetDefaultThreads(threads);
-    for (const int ibp : {1, 4}) {
-      cfg.inter_batch_parallelism = ibp;
-      const InferenceResult run = engine.Infer(w.all_nodes, cfg);
-      const std::string label =
-          "threads=" + std::to_string(threads) + " ibp=" + std::to_string(ibp);
-      ExpectSameResult(run, reference, label.c_str());
-    }
+    const InferenceResult run = engine.Infer(w.all_nodes, cfg);
+    const std::string label = "threads=" + std::to_string(threads);
+    ExpectSameResult(run, reference, label.c_str());
   }
   runtime::ThreadPool::SetDefaultThreads(0);
 }
@@ -81,38 +75,6 @@ TEST(InferenceParallelTest, VanillaBitExact) {
   InferenceConfig cfg;
   cfg.nap = NapKind::kNone;
   CheckDeterminism(w, nullptr, cfg);
-}
-
-TEST(InferenceParallelTest, GamlpAttentionHeadBitExact) {
-  // GAMLP's head runs VectorAttention inside classify; concurrent shards
-  // must not share scratch (regression: inference-mode Forward used to
-  // write member matrices).
-  auto w = MakeSmallWorld(2, models::ModelKind::kGamlp, 250);
-  InferenceConfig cfg;
-  cfg.nap = NapKind::kDistance;
-  cfg.threshold = 0.3f;
-  CheckDeterminism(w, nullptr, cfg);
-}
-
-TEST(InferenceParallelTest, AutoShardCountCoversAllNodes) {
-  // inter_batch_parallelism = 0 = one shard per pool thread; with more
-  // shards than batches the engine must clamp and still classify everything.
-  auto w = MakeSmallWorld(2, models::ModelKind::kSgc, 120);
-  NaiEngine engine = MakeTestEngine(w);
-  runtime::ThreadPool::SetDefaultThreads(8);
-  InferenceConfig cfg;
-  cfg.nap = NapKind::kDistance;
-  cfg.threshold = 0.3f;
-  cfg.batch_size = 100;  // 2 batches, 8 pool threads
-  cfg.inter_batch_parallelism = 0;
-  const InferenceResult run = engine.Infer(w.all_nodes, cfg);
-  const std::int64_t exited =
-      std::accumulate(run.stats.exits_at_depth.begin(),
-                      run.stats.exits_at_depth.end(), std::int64_t{0});
-  EXPECT_EQ(exited, static_cast<std::int64_t>(w.all_nodes.size()));
-  for (const std::int32_t d : run.exit_depths) EXPECT_GE(d, 1);
-  EXPECT_GT(run.stats.wall_time_ms, 0.0);  // elapsed, not summed per shard
-  runtime::ThreadPool::SetDefaultThreads(0);
 }
 
 TEST(InferenceParallelTest, StatsAccumulateMergesHistogram) {

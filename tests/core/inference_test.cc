@@ -324,6 +324,17 @@ TEST(InferenceTest, OutOfRangeIdThrowsAndEngineStaysUsable) {
   // The bad id sits in the second batch, after one batch has run.
   EXPECT_THROW(engine.Infer({5, 17, 150, 200}, cfg), nai::ValidationError);
   EXPECT_THROW(engine.Infer({-1}, cfg), nai::ValidationError);
+  // NAPg with no gates attached, and NAPd/NAPg with no stationary state:
+  // rejected before any batch runs.
+  InferenceConfig gated = cfg;
+  gated.nap = NapKind::kGate;
+  EXPECT_THROW(engine.Infer(good, gated), nai::ValidationError);
+  NaiEngine no_stationary = MakeTestEngine(w, {.use_stationary = false});
+  EXPECT_THROW(no_stationary.Infer(good, cfg), nai::ValidationError);
+  InferenceConfig vanilla = cfg;
+  vanilla.nap = NapKind::kNone;
+  EXPECT_EQ(no_stationary.Infer(good, vanilla).predictions.size(),
+            good.size());
   NaiEngine fresh = MakeTestEngine(w);
   ExpectSameAnswers(engine.Infer(good, cfg), fresh.Infer(good, cfg),
                     "after throw");

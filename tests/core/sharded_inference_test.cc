@@ -102,9 +102,8 @@ TEST(ShardedInferenceTest, VanillaBitExact) {
   CheckShardedBitExact(w, nullptr, cfg);
 }
 
-TEST(ShardedInferenceTest, PoolSizeAndInterBatchParallelismInvariant) {
-  // The shard pools' sizes and per-shard inter-batch parallelism must not
-  // change a single bit of the result.
+TEST(ShardedInferenceTest, PoolSizeInvariant) {
+  // The shard pools' sizes must not change a single bit of the result.
   auto w = MakeSmallWorld(kDepth);
   InferenceConfig cfg;
   cfg.nap = NapKind::kDistance;
@@ -115,13 +114,29 @@ TEST(ShardedInferenceTest, PoolSizeAndInterBatchParallelismInvariant) {
   for (const int total_threads : {1, 5}) {
     ShardedNaiEngine sharded =
         MakeTestShardedEngine(w, 2, nullptr, total_threads);
-    for (const int ibp : {1, 4}) {
-      cfg.inter_batch_parallelism = ibp;
-      const InferenceResult run = sharded.Infer(w.all_nodes, cfg);
-      ExpectSameResult(run, reference,
-                       "threads=" + std::to_string(total_threads) +
-                           " ibp=" + std::to_string(ibp));
-    }
+    const InferenceResult run = sharded.Infer(w.all_nodes, cfg);
+    ExpectSameResult(run, reference,
+                     "threads=" + std::to_string(total_threads));
+  }
+}
+
+TEST(ShardedInferenceTest, GamlpAttentionHeadBitExact) {
+  // GAMLP's head runs VectorAttention inside classify, and every shard
+  // engine calls Logits on the one shared ClassifierStack while the other
+  // shards do too: the head must not share scratch between concurrent
+  // calls (regression: inference-mode Forward used to write member
+  // matrices).
+  auto w = MakeSmallWorld(2, models::ModelKind::kGamlp, 240);
+  InferenceConfig cfg;
+  cfg.nap = NapKind::kDistance;
+  cfg.threshold = 0.3f;
+  cfg.batch_size = 20;  // divides 240/2 and 240/4 owned nodes
+  NaiEngine plain = MakeTestEngine(w);
+  const InferenceResult reference = plain.Infer(w.all_nodes, cfg);
+  for (const int shards : {2, 4}) {
+    ShardedNaiEngine sharded = MakeTestShardedEngine(w, shards);
+    ExpectSameResult(sharded.Infer(w.all_nodes, cfg), reference,
+                     "gamlp shards=" + std::to_string(shards));
   }
 }
 
@@ -325,6 +340,17 @@ TEST(ShardedInferenceTest, InferMixedValidatesEveryConfig) {
                std::invalid_argument);
   EXPECT_THROW(sharded.InferMixed({{0, &plain}, {1, nullptr}}),
                std::invalid_argument);
+  InferenceConfig gated;
+  gated.nap = NapKind::kGate;  // the engine was built without gates
+  EXPECT_THROW(sharded.InferMixed({{0, &plain}, {1, &gated}}),
+               std::invalid_argument);
+  EXPECT_THROW(sharded.Infer({0}, gated), std::invalid_argument);
+  // NAPd needs the stationary views a use_stationary = false engine skips.
+  ShardedNaiEngine no_stationary(MakeTestSnapshot(w),
+                                 graph::MakeShards(w.data.graph, 2),
+                                 *w.classifiers, nullptr,
+                                 /*use_stationary=*/false);
+  EXPECT_THROW(no_stationary.InferMixed({{0, &plain}}), std::invalid_argument);
   const InferenceResult ok = sharded.InferMixed({{0, &plain}});
   EXPECT_EQ(ok.predictions.size(), 1u);
 }

@@ -81,7 +81,7 @@ TEST(ThreadPoolTest, EmptyRangeIsNoop) {
 TEST(ThreadPoolTest, NestedCallsRunInline) {
   // A ParallelFor issued from inside a worker must execute inline (whole
   // range, same thread) instead of re-entering the pool — this is what
-  // makes inter-batch parallelism compose with kernel parallelism.
+  // makes an outer parallel loop compose with the kernels it calls.
   ThreadPool pool(4);
   std::atomic<int> outer_calls{0};
   std::atomic<int> inner_whole_range{0};

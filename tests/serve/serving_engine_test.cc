@@ -370,6 +370,11 @@ TEST(ServingEngineTest, Int8PolicyRejectedWithoutQuantizedStack) {
   core::ShardedNaiEngine bare = nai::testing::MakeTestShardedEngine(w, 2);
   EXPECT_THROW(ServingEngine(bare, DefaultQosPolicyTable(kDepth)),
                std::invalid_argument);
+  // Likewise a NAPg policy on an engine built without gates: admitted, its
+  // pump would dereference the missing gate stack.
+  QosPolicyTable gated = MakePolicies();
+  gated.For(QosClass::kSpeedFirst).config.nap = core::NapKind::kGate;
+  EXPECT_THROW(ServingEngine(bare, gated), std::invalid_argument);
   // Float-only tables keep working on the same bare engine.
   ServingEngine server(bare, MakePolicies());
   EXPECT_TRUE(server.Submit(w.all_nodes[0], QosClass::kSpeedFirst)
