@@ -18,10 +18,10 @@
 //   3. Open-loop sweep: Poisson arrivals at increasing fractions of the
 //      closed-loop capacity x {speed-only, mixed, accuracy-only} traffic —
 //      the latency/deadline-miss/shedding picture vs offered load.
-//   4. Skewed-load scheduler A/B: the same shard-skewed bursty load with
-//      priority + work stealing off and on (admission control off in both
-//      cells so the coalescing window matches) — also exactness-gated, so
-//      the steal path proves its bit-identity under real contention.
+//   4. Bursty-load priority A/B: the same bursty load with class priority
+//      off and on (admission control off in both cells so the coalescing
+//      window matches) — also exactness-gated, so reordering the queue
+//      proves its bit-identity under real contention.
 //   5. Zipf-skew result-cache A/B: the same Zipf-sampled closed-loop
 //      request stream (draws with replacement, hot head nodes) with the
 //      result cache off and on, at two skew levels — hit ratio, p50 and
@@ -33,7 +33,7 @@
 // offered load in qps instead of the sweep), --zipf A (Zipf-skew the stage
 // 3 sweep's node draws; stage 5 always runs its own two levels),
 // --json PATH (write the smoke summary — p50/p95, throughput,
-// deadline-miss rate, scheduler and cache A/Bs — as JSON, the
+// deadline-miss rate, priority and cache A/Bs — as JSON, the
 // BENCH_serving.json CI artifact). NAI_SCALE shrinks the graph.
 
 #include <algorithm>
@@ -65,51 +65,46 @@ double MissRate(const serve::ServingStatsSnapshot& stats) {
                              static_cast<double>(finished);
 }
 
-/// One skewed-load A/B cell: shard-phased bursty arrivals, exactness
-/// checked against the per-class references.
-struct SkewedCell {
+/// One bursty-load A/B cell: on/off Poisson arrivals, exactness checked
+/// against the per-class references.
+struct BurstyCell {
   double achieved_qps = 0.0;
   double speed_p95_ms = 0.0;
   double miss_rate = 0.0;
-  std::int64_t stolen_requests = 0;
   std::size_t mismatches = 0;
 };
 
-SkewedCell RunSkewedCell(core::ShardedNaiEngine& sharded,
+BurstyCell RunBurstyCell(core::ShardedNaiEngine& sharded,
                          const serve::QosPolicyTable& policies,
                          const serve::ServingOptions& base_options,
-                         bool scheduler_on,
-                         const std::vector<std::int32_t>& nodes,
+                         bool priority, const std::vector<std::int32_t>& nodes,
                          const core::InferenceResult& ref_speed,
                          const core::InferenceResult& ref_accuracy,
                          double rate_qps, int qos_mix) {
-  // The A/B isolates priority + stealing (the mechanisms the skewed load
-  // exercises); the admission controller stays off in both cells so the
-  // coalescing window is identical and the comparison is apples-to-apples.
+  // The A/B isolates class priority; the admission controller stays off in
+  // both cells so the coalescing window is identical and the comparison
+  // is apples-to-apples.
   serve::ServingOptions options = base_options;
-  options.scheduler.priority = scheduler_on;
-  options.scheduler.stealing = scheduler_on;
+  options.scheduler.priority = priority;
   options.scheduler.adaptive = false;
   serve::ServingEngine server(sharded, policies, options);
 
   eval::ServingLoadConfig load;
   load.arrival_rate_qps = rate_qps;
   load.speed_first_fraction = qos_mix / 100.0;
-  load.skew_by_shard = true;
   load.burst_on_ms = 20.0;
   load.burst_off_ms = 20.0;
   load.seed = 1234;  // same arrivals and classes in both cells
   const eval::ServingRunReport report =
       eval::RunServing(server, nodes, load);
 
-  SkewedCell cell;
+  BurstyCell cell;
   cell.achieved_qps = report.achieved_qps;
   cell.speed_p95_ms =
       report.stats
           .per_class[static_cast<std::size_t>(serve::QosClass::kSpeedFirst)]
           .p95_ms;
   cell.miss_rate = MissRate(report.stats);
-  cell.stolen_requests = report.stats.stolen_requests;
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     if (report.predictions[i] < 0) continue;  // shed under overload
     const std::int32_t want =
@@ -341,41 +336,38 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- Stage 4: skewed-load scheduler A/B. ---------------------------------
-  // All arrivals phase through one shard at a time in 20ms bursts at a
-  // rate past the closed-loop capacity — head-of-line blocking, idle
-  // sibling pumps and queue buildup all at once. The same seeded load
-  // runs with the adaptive scheduler off and on; both must stay bit-exact
-  // (this is where the steal path earns its determinism contract).
-  const double skew_rate =
+  // --- Stage 4: bursty-load priority A/B. ----------------------------------
+  // 20ms bursts at a rate past the closed-loop capacity — head-of-line
+  // blocking and queue buildup at once. The same seeded load runs with
+  // class priority off and on; both must stay bit-exact (this is where
+  // queue reordering earns its determinism contract).
+  const double burst_rate =
       std::max(20.0, fixed_rate > 0 ? static_cast<double>(fixed_rate)
                                     : 2.0 * closed_qps);
-  serve::ServingOptions skew_options = options;
-  skew_options.batcher.max_batch = 16;  // deeper backlogs: steals matter
-  const SkewedCell off =
-      RunSkewedCell(*sharded, policies, skew_options, /*scheduler_on=*/false,
-                    open_nodes, ref_speed, ref_accuracy, skew_rate, qos_mix);
-  const SkewedCell on =
-      RunSkewedCell(*sharded, policies, skew_options, /*scheduler_on=*/true,
-                    open_nodes, ref_speed, ref_accuracy, skew_rate, qos_mix);
+  serve::ServingOptions burst_options = options;
+  burst_options.batcher.max_batch = 16;  // deeper backlogs: priority matters
+  const BurstyCell off =
+      RunBurstyCell(*sharded, policies, burst_options, /*priority=*/false,
+                    open_nodes, ref_speed, ref_accuracy, burst_rate, qos_mix);
+  const BurstyCell on =
+      RunBurstyCell(*sharded, policies, burst_options, /*priority=*/true,
+                    open_nodes, ref_speed, ref_accuracy, burst_rate, qos_mix);
   exact = exact && off.mismatches == 0 && on.mismatches == 0;
 
-  std::printf("\nskewed bursty load (%.0f q/s peak, shard-phased, %d%% "
-              "speed-first, %zu queries):\n",
-              skew_rate, qos_mix, open_nodes.size());
-  std::printf("  %-18s %-10s %-14s %-8s %-8s\n", "scheduler",
-              "achieved", "speed p95 ms", "miss%", "stolen");
-  std::printf("  %-18s %-10.0f %-14.2f %-8.1f %-8lld\n", "off (FIFO)",
-              off.achieved_qps, off.speed_p95_ms, 100.0 * off.miss_rate,
-              static_cast<long long>(0));
-  std::printf("  %-18s %-10.0f %-14.2f %-8.1f %-8lld\n", "on (pri+steal)",
-              on.achieved_qps, on.speed_p95_ms, 100.0 * on.miss_rate,
-              static_cast<long long>(on.stolen_requests));
+  std::printf("\nbursty load (%.0f q/s peak, %d%% speed-first, %zu "
+              "queries):\n",
+              burst_rate, qos_mix, open_nodes.size());
+  std::printf("  %-18s %-10s %-14s %-8s\n", "priority", "achieved",
+              "speed p95 ms", "miss%");
+  std::printf("  %-18s %-10.0f %-14.2f %-8.1f\n", "off (FIFO)",
+              off.achieved_qps, off.speed_p95_ms, 100.0 * off.miss_rate);
+  std::printf("  %-18s %-10.0f %-14.2f %-8.1f\n", "on", on.achieved_qps,
+              on.speed_p95_ms, 100.0 * on.miss_rate);
   const bool improved = on.speed_p95_ms < off.speed_p95_ms ||
                         on.achieved_qps > off.achieved_qps;
-  std::printf("  -> scheduler %s (speed p95 %.2f -> %.2f ms, throughput "
+  std::printf("  -> priority %s (speed p95 %.2f -> %.2f ms, throughput "
               "%.0f -> %.0f q/s)\n",
-              improved ? "improves the skewed tail" : "did NOT improve",
+              improved ? "improves the bursty tail" : "did NOT improve",
               off.speed_p95_ms, on.speed_p95_ms, off.achieved_qps,
               on.achieved_qps);
 
@@ -466,17 +458,15 @@ int main(int argc, char** argv) {
                  flip_rate, throughput_policy.accuracy_delta_budget,
                  budget_ok ? "true" : "false");
     std::fprintf(f,
-                 "  \"skewed\": {\"offered_peak_qps\": %.2f,\n"
-                 "    \"scheduler_off\": {\"achieved_qps\": %.2f, "
+                 "  \"bursty\": {\"offered_peak_qps\": %.2f,\n"
+                 "    \"priority_off\": {\"achieved_qps\": %.2f, "
                  "\"speed_p95_ms\": %.4f, \"deadline_miss_rate\": %.6f},\n"
-                 "    \"scheduler_on\": {\"achieved_qps\": %.2f, "
-                 "\"speed_p95_ms\": %.4f, \"deadline_miss_rate\": %.6f, "
-                 "\"stolen_requests\": %lld},\n"
+                 "    \"priority_on\": {\"achieved_qps\": %.2f, "
+                 "\"speed_p95_ms\": %.4f, \"deadline_miss_rate\": %.6f},\n"
                  "    \"improved\": %s}\n",
-                 skew_rate, off.achieved_qps, off.speed_p95_ms,
+                 burst_rate, off.achieved_qps, off.speed_p95_ms,
                  off.miss_rate, on.achieved_qps, on.speed_p95_ms,
-                 on.miss_rate, static_cast<long long>(on.stolen_requests),
-                 improved ? "true" : "false");
+                 on.miss_rate, improved ? "true" : "false");
     std::fprintf(f, ",\n  \"cache_ab\": [");
     for (std::size_t k = 0; k < cache_abs.size(); ++k) {
       const CacheAb& ab = cache_abs[k];

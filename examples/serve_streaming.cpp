@@ -2,13 +2,13 @@
 // sharded deployment and push one-at-a-time queries through it — first a
 // handful of callback-completed requests (the "online API" shape), then a
 // mixed-QoS burst through futures, finishing with the serving stats
-// snapshot (including the adaptive scheduler's steal/shed counters and
+// snapshot (including the adaptive scheduler's shed counter and
 // adaptation trace) and a bit-exactness self-check against direct Infer.
 //
-// Flags: --threads N (pool size), --shards N (default 2 here — the
-// front-end pumps one admission queue per shard, and the idle pump can
-// steal the other's backlog).
+// Flags: --threads N (pool size), --shards N (default 2 here — one pump
+// per shard engine drains the front-end's one admission queue).
 
+#include <cstdint>
 #include <cstdio>
 #include <future>
 #include <vector>
@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
   using namespace nai;
   runtime::ApplyThreadsFlag(argc, argv);
   int num_shards = runtime::ShardsFlag(argc, argv);
-  if (num_shards <= 1) num_shards = 2;  // the example's point is per-shard queues
+  if (num_shards <= 1) num_shards = 2;  // the example's point is N engines
 
   // --- Train a small deployment and wrap it for serving. -------------------
   const eval::PreparedDataset ds = eval::Prepare(eval::ArxivSim(0.15));
@@ -40,12 +40,10 @@ int main(int argc, char** argv) {
   options.batcher.max_wait_us = 500;
   // The adaptive scheduler defaults on; spelled out here as the knobs a
   // deployment would tune. Speed-first bypasses queued accuracy-first work
-  // (bounded at 5ms of bypassing), idle shard pumps steal backlogged
-  // batches, and the admission controller retunes the 500us window to the
-  // observed arrival rate within [0, 2ms].
+  // (bounded at 5ms of bypassing), and the admission controller retunes
+  // the 500us window to the observed arrival rate within [0, 2ms].
   options.scheduler.priority = true;
   options.scheduler.priority_aging_us = 5000;
-  options.scheduler.stealing = true;
   options.scheduler.adaptive = true;
   serve::ServingEngine server(*sharded, policies, options);
   std::printf("serving %lld nodes from %d shards "
@@ -133,27 +131,21 @@ int main(int argc, char** argv) {
                 static_cast<long long>(stats.per_class[c].count));
   }
 
-  // What the scheduler did: cross-shard steals, controller sheds, and the
-  // per-shard adaptation state the controller converged to.
-  std::printf("\nscheduler: %lld batches stolen (%lld requests), %lld "
-              "adaptive sheds\n",
-              static_cast<long long>(stats.stolen_batches),
-              static_cast<long long>(stats.stolen_requests),
-              static_cast<long long>(stats.shed_adaptive));
-  for (const serve::SchedulerShardSnapshot& shard : stats.scheduler) {
-    std::printf("  shard %zu: arrival %.0f q/s, service %.0f q/s, window "
-                "%lld us, stolen by/from %lld/%lld\n",
-                shard.shard, shard.arrival_qps, shard.service_qps,
-                static_cast<long long>(shard.batch_wait_us),
-                static_cast<long long>(shard.batches_stolen_by),
-                static_cast<long long>(shard.batches_stolen_from));
+  // What the scheduler did: controller sheds, the adaptation state the
+  // controller converged to, and which engines served the traced batches.
+  const serve::SchedulerSnapshot& sched = stats.scheduler;
+  std::printf("\nscheduler: %lld adaptive sheds; arrival %.0f q/s per "
+              "engine, service %.0f q/s, window %lld us\n",
+              static_cast<long long>(stats.shed_adaptive), sched.arrival_qps,
+              sched.service_qps, static_cast<long long>(sched.batch_wait_us));
+  std::vector<std::int64_t> batches_by_engine(num_shards, 0);
+  for (const serve::SchedulerTraceEvent& event : stats.adaptation_trace) {
+    ++batches_by_engine[event.engine];
   }
-  if (!stats.adaptation_trace.empty()) {
-    const serve::SchedulerTraceEvent& last = stats.adaptation_trace.back();
-    std::printf("  adaptation trace: %zu events, last at %.1f ms (shard "
-                "%zu -> window %lld us)\n",
-                stats.adaptation_trace.size(), last.t_ms, last.shard,
-                static_cast<long long>(last.batch_wait_us));
+  for (int e = 0; e < num_shards; ++e) {
+    std::printf("  engine %d: %lld of the %zu traced batches\n", e,
+                static_cast<long long>(batches_by_engine[e]),
+                stats.adaptation_trace.size());
   }
 
   server.Shutdown();

@@ -4,7 +4,8 @@
 #
 #   release   Plain Release configure + build + full CTest run, then the
 #             benchmark driver's self-test and 3 s exactness-gated
-#             mixed_closed and churn_open runs.
+#             mixed_closed, hot_open and churn_open runs whose result lines
+#             must parse as strict JSON with finite metrics.
 #   asan      Release + ASan/UBSan build, full CTest run, then a
 #             NAI_THREADS=1 serial-path pass of the threading-sensitive
 #             suites.
@@ -43,6 +44,33 @@ if [ "${TSAN}" = "0" ]; then
 fi
 STAGES="${NAI_CHECK_STAGE:-${DEFAULT_STAGES}}"
 
+# Runs one 3 s benchmark workload, which exits 1 if any served answer
+# differs from a direct Infer of the same node and config, then parses its
+# result line (the last one) as strict JSON with finite metric values. A
+# window that closes before any request lands divides by zero, and printf
+# writes that as `nan`, which no JSON reader accepts.
+perfbench_exact() {
+  local out
+  out="$("${BUILD_DIR}-perfbench/nai_perfbench" --workload "$1" --seed 1 \
+    --seconds 3 --trace 0)"
+  printf '%s\n' "${out}"
+  printf '%s\n' "${out}" | tail -n 1 | python3 -c '
+import json, math, sys
+
+def reject(constant):
+    raise ValueError("non-finite constant " + constant)
+
+result = json.loads(sys.stdin.read(), parse_constant=reject)
+bad = [name for name, metric in result["metrics"].items()
+       if isinstance(metric["value"], bool)
+       or not isinstance(metric["value"], (int, float))
+       or not math.isfinite(metric["value"])]
+if result.get("correct") is not True or bad:
+    sys.exit("perfbench result line: correct=%r, non-finite metrics %r"
+             % (result.get("correct"), bad))
+'
+}
+
 # ---------------------------------------------------------------------------
 # Stage bodies. Each runs in a `set -euo pipefail` subshell via run_stage,
 # so any failing command aborts just that stage with its name attached.
@@ -58,14 +86,13 @@ stage_release() {
   cmake -B "${BUILD_DIR}-perfbench" -S perfbench -DCMAKE_BUILD_TYPE=Release
   cmake --build "${BUILD_DIR}-perfbench" -j "${JOBS}"
   "${BUILD_DIR}-perfbench/perfbench_stats_test"
-  # A short engine-bound run: exits 1 if any served answer differs from a
-  # direct Infer of the same node and config.
-  "${BUILD_DIR}-perfbench/nai_perfbench" --workload mixed_closed --seed 1 \
-    --seconds 3 --trace 0
-  # Snapshot swaps, steals and cache-epoch bumps under traffic, with the
-  # same served-vs-direct exactness gate.
-  "${BUILD_DIR}-perfbench/nai_perfbench" --workload churn_open --seed 1 \
-    --seconds 3 --trace 0
+  # Engine-bound: the closed loop, no cache hits.
+  perfbench_exact mixed_closed
+  # Front-end-bound: most answers replay from the one result cache that
+  # every engine fills.
+  perfbench_exact hot_open
+  # Snapshot swaps and cache-epoch bumps under traffic.
+  perfbench_exact churn_open
 }
 
 stage_asan() {
@@ -120,7 +147,7 @@ stage_docs() {
 
 stage_bench() {
   # Fixed load/mix smoke: exactness-gated (nonzero exit on any prediction
-  # divergence, including down the steal path, plus the throughput class's
+  # divergence, plus the throughput class's
   # int8 accuracy-delta budget) and the source of the BENCH_serving.json
   # perf trajectory at the repo root. bench_update_churn and bench_kernels
   # run after bench_serving_qos: each splices its section ("update_churn",

@@ -69,8 +69,9 @@ class ShardedNaiEngine {
     /// One null entry per shard (shard engines read base_features). Kept
     /// because perfbench/nai_perfbench.cc reads it.
     std::vector<std::shared_ptr<const storage::FeatureStore>> shard_features;
-    /// One FromSnapshot engine per owning shard (null for empty shards);
-    /// perfbench/nai_perfbench.cc reads it.
+    /// One FromSnapshot engine per owning shard (null for empty shards).
+    /// The serving front-end runs one pump per engine; an engine never
+    /// turns null in a later state, because owners never move.
     std::vector<std::unique_ptr<NaiEngine>> engines;
   };
 

@@ -346,20 +346,6 @@ ServingRunReport RunServing(serve::ServingEngine& server,
     return report;
   }
 
-  // Submission order: request order, or phased through one shard at a time
-  // (skewed load — the steal scenario). The stable sort keeps the
-  // requests' relative order within a shard, so runs stay reproducible.
-  std::vector<std::size_t> order(m);
-  for (std::size_t t = 0; t < m; ++t) order[t] = t;
-  if (load.skew_by_shard) {
-    const std::vector<std::int32_t>& owner =
-        server.engine().sharded_graph().owner;
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return owner[nodes[idx[a]]] < owner[nodes[idx[b]]];
-                     });
-  }
-
   const Clock::time_point start = Clock::now();
 
   // Update churn: one dedicated updater thread feeds the delta batches
@@ -405,7 +391,7 @@ ServingRunReport RunServing(serve::ServingEngine& server,
         in_flight;
     in_flight.reserve(m);
     double arrival_us = 0.0;
-    for (const std::size_t t : order) {
+    for (std::size_t t = 0; t < m; ++t) {
       arrival_us += -std::log(1.0 - rng.NextDouble()) * 1e6 /
                     load.arrival_rate_qps;
       double wall_us = arrival_us;
@@ -433,9 +419,8 @@ ServingRunReport RunServing(serve::ServingEngine& server,
     std::atomic<std::size_t> next{0};
     auto client = [&] {
       while (true) {
-        const std::size_t slot = next.fetch_add(1);
-        if (slot >= m) return;
-        const std::size_t t = order[slot];
+        const std::size_t t = next.fetch_add(1);
+        if (t >= m) return;
         const serve::Response response =
             server.Submit(nodes[idx[t]], report.classes[t]).get();
         if (response.served) report.predictions[t] = response.prediction;

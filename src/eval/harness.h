@@ -162,11 +162,6 @@ struct ServingLoadConfig {
   double throughput_fraction = 0.0;
   std::uint64_t seed = 42;
 
-  /// Shard-skewed arrivals: submission order is stable-sorted by owning
-  /// shard, so the load phases through one shard's queue at a time while
-  /// the other pumps sit idle — the work-stealing scenario. Off = caller
-  /// order (shard-uniform for a shuffled node list).
-  bool skew_by_shard = false;
   /// On/off bursty arrivals (open loop only): Poisson arrivals at
   /// `arrival_rate_qps` during each `burst_on_ms` window, silence for the
   /// following `burst_off_ms` — the mean offered load is

@@ -1,6 +1,7 @@
 #include "src/serve/batcher.h"
 
 #include <chrono>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -18,16 +19,8 @@ DynamicBatcher::DynamicBatcher(RequestQueue& queue, BatcherConfig config)
 }
 
 std::vector<Request> DynamicBatcher::NextBatch() {
-  return Gather(queue_.Pop());  // blocks; nullopt = shutdown
-}
-
-std::vector<Request> DynamicBatcher::NextBatch(
-    ServeClock::time_point first_deadline) {
-  return Gather(queue_.PopUntil(first_deadline));
-}
-
-std::vector<Request> DynamicBatcher::Gather(std::optional<Request> first) {
   std::vector<Request> batch;
+  std::optional<Request> first = queue_.Pop();  // blocks; nullopt = shutdown
   if (!first.has_value()) return batch;
   batch.reserve(config_.max_batch);
   batch.push_back(std::move(*first));

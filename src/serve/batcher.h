@@ -4,14 +4,13 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "src/serve/request_queue.h"
 
 namespace nai::serve {
 
-/// Coalescing knobs of one shard's batcher.
+/// Coalescing knobs of every pump's batcher.
 struct BatcherConfig {
   /// Largest batch one engine call serves. Bigger batches amortize the
   /// supporting-set BFS across co-located queries; smaller ones bound the
@@ -27,8 +26,9 @@ struct BatcherConfig {
 
 /// Coalesces queued requests into engine batches: blocks for the first
 /// request, then keeps gathering until the batch is full or the window
-/// since that first pop expires. One batcher per shard queue, driven by
-/// that shard's pump thread.
+/// since that first pop expires. One batcher per pump thread; the pumps'
+/// batchers all drain the one queue of a ServingEngine, so each batch is
+/// popped by exactly one of them.
 ///
 /// The batcher drains the queue in the queue's policy order (FIFO, or
 /// priority with aging) and is otherwise QoS-agnostic — a batch can mix
@@ -41,13 +41,6 @@ class DynamicBatcher {
   /// Returns the next batch (1..max_batch requests), or an empty vector
   /// when the queue is closed and fully drained — the pump's exit signal.
   std::vector<Request> NextBatch();
-
-  /// Like NextBatch, but gives up waiting for the *first* request at
-  /// `first_deadline` (empty batch — check RequestQueue::drained() to tell
-  /// a timeout from shutdown). The work-stealing pump uses this so an idle
-  /// shard wakes up to scan sibling queues instead of blocking forever on
-  /// its own.
-  std::vector<Request> NextBatch(ServeClock::time_point first_deadline);
 
   /// The coalescing window currently in force. Initially
   /// config.max_wait_us; the admission controller retunes it (thread-safe,
@@ -72,8 +65,6 @@ class DynamicBatcher {
   const BatcherConfig& config() const { return config_; }
 
  private:
-  std::vector<Request> Gather(std::optional<Request> first);
-
   RequestQueue& queue_;
   BatcherConfig config_;
   std::atomic<std::int64_t> window_us_;

@@ -91,21 +91,6 @@ std::optional<Request> RequestQueue::Pop() {
   return out;
 }
 
-std::optional<Request> RequestQueue::PopUntil(
-    ServeClock::time_point deadline) {
-  std::optional<Request> out;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    not_empty_.wait_until(lock, deadline,
-                          [this] { return closed_ || TotalLocked() > 0; });
-    const int cls = PickClassLocked(ServeClock::now());
-    if (cls < 0) return std::nullopt;  // timeout, or closed and drained
-    out.emplace(PopPickedLocked(cls));
-  }
-  not_full_.notify_one();
-  return out;
-}
-
 std::optional<Request> RequestQueue::TryPop() {
   std::optional<Request> out;
   {
@@ -115,21 +100,6 @@ std::optional<Request> RequestQueue::TryPop() {
     out.emplace(PopPickedLocked(cls));
   }
   not_full_.notify_one();
-  return out;
-}
-
-std::vector<Request> RequestQueue::TryPopBatch(std::size_t max) {
-  std::vector<Request> out;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const ServeClock::time_point now = ServeClock::now();
-    while (out.size() < max) {
-      const int cls = PickClassLocked(now);
-      if (cls < 0) break;
-      out.push_back(PopPickedLocked(cls));
-    }
-  }
-  if (!out.empty()) not_full_.notify_all();
   return out;
 }
 

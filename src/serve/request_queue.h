@@ -11,7 +11,6 @@
 #include <future>
 #include <mutex>
 #include <optional>
-#include <vector>
 
 #include "src/serve/qos.h"
 
@@ -58,7 +57,7 @@ struct Request {
   std::function<void(const Response&)> callback;
 };
 
-/// The pop discipline of one shard queue.
+/// The pop discipline of the request queue.
 ///
 /// With `priority` off, pops follow global arrival order (FIFO). With it
 /// on, speed-first requests bypass queued accuracy-first work — but only
@@ -74,8 +73,7 @@ struct QueuePolicy {
 
 /// A bounded MPMC queue of requests — the admission point of the serving
 /// front-end. Producers are client threads (Submit/TrySubmit), consumers
-/// are the shard pump threads (via DynamicBatcher) and, when work stealing
-/// is on, sibling pump threads draining a backlog via TryPopBatch.
+/// are the pump threads, one DynamicBatcher each.
 ///
 /// Admission control: TryPush never blocks and returns false when the queue
 /// is at capacity (backpressure — the caller sheds or retries), Push blocks
@@ -99,17 +97,8 @@ class RequestQueue {
   /// available or the queue is closed *and* drained (nullopt).
   std::optional<Request> Pop();
 
-  /// Like Pop, but gives up at `deadline`: nullopt on timeout as well as
-  /// on closed-and-drained (disambiguate via drained()).
-  std::optional<Request> PopUntil(ServeClock::time_point deadline);
-
   /// Non-blocking pop; nullopt when currently empty.
   std::optional<Request> TryPop();
-
-  /// Non-blocking bulk pop of up to `max` requests in policy order — the
-  /// work-stealing entry point: a sibling pump takes a whole coalesced
-  /// batch in one lock acquisition.
-  std::vector<Request> TryPopBatch(std::size_t max);
 
   /// Blocks until an item is available or `deadline` passes. True when an
   /// item is (probably) available; false on timeout or closed-and-drained.

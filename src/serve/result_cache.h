@@ -12,11 +12,11 @@
 
 namespace nai::serve {
 
-/// Tuning of the per-shard prediction cache (replicated from ServingOptions
-/// for every shard that owns nodes).
+/// Tuning of a ServingEngine's prediction cache.
 struct ResultCacheOptions {
   bool enabled = true;
-  /// Entries retained per shard cache before LRU eviction kicks in. Must be
+  /// Entries retained per engine before LRU eviction kicks in: the one
+  /// cache of a ServingEngine holds capacity * engines entries. Must be
   /// positive when `enabled` (ServingEngine validates at construction).
   std::size_t capacity = 4096;
 };
@@ -33,7 +33,7 @@ struct CachedResult {
   std::uint64_t graph_epoch = 0;
 };
 
-/// Point-in-time counters of one shard's cache.
+/// Point-in-time counters of a cache.
 struct ResultCacheStats {
   std::int64_t hits = 0;      ///< lookups answered from the cache
   std::int64_t misses = 0;    ///< lookups that fell through (incl. stale)
@@ -49,9 +49,8 @@ struct ResultCacheStats {
 };
 
 /// An epoch-versioned LRU cache of per-node prediction results, keyed by
-/// (node id, config identity). One instance per owning shard of a
-/// ServingEngine — the "sharded" in sharded LRU — so the hit path of one
-/// shard's traffic never contends with another's fills.
+/// (node id, config identity). One instance per ServingEngine: any engine's
+/// fill makes a later lookup for the same key a hit.
 ///
 /// Config identity is the InferenceConfig *pointer*: the serving front-end
 /// resolves every request through its QosPolicyTable, so all requests of a
@@ -114,7 +113,7 @@ class ResultCache {
   struct KeyHash {
     std::size_t operator()(const Key& k) const {
       // Pointer identity spread with a Fibonacci multiplier; the node id
-      // lands in the low bits. Good enough for a per-shard table.
+      // lands in the low bits. Good enough for one table.
       const std::uint64_t p =
           reinterpret_cast<std::uintptr_t>(k.config) * 0x9e3779b97f4a7c15ull;
       return static_cast<std::size_t>(

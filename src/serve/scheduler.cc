@@ -1,42 +1,24 @@
 #include "src/serve/scheduler.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <stdexcept>
 #include <string>
 
 namespace nai::serve {
 
-/// Per-shard EWMA state. Arrival recording races with pump-side batch
-/// recording, so everything mutable sits behind one small mutex per shard;
-/// the adapted window is additionally mirrored into an atomic so the
-/// batcher path reads it without taking the lock.
-struct AdmissionController::ShardState {
-  std::mutex mu;
-  bool has_arrival = false;
-  /// Whether ewma_gap_us holds a real blend yet. Seeding must be tracked
-  /// explicitly: testing `ewma_gap_us <= 0.0` conflates "unseeded" with "a
-  /// zero inter-arrival gap", and a coarse monotone clock hands equal
-  /// stamps to back-to-back arrivals routinely — the zero gap would keep
-  /// the EWMA at 0 and let the *next* real gap overwrite history instead
-  /// of blending in.
-  bool ewma_gap_seeded = false;
-  SchedClock::time_point last_arrival{};
-  double ewma_gap_us = 0.0;         ///< inter-arrival EWMA; 0 until 2 arrivals
-  double ewma_service_us = 0.0;     ///< per-request engine time; 0 until a batch
-  std::int64_t last_admit_limit = -1;
-  std::atomic<std::int64_t> wait_us{0};
-};
-
-AdmissionController::AdmissionController(std::size_t num_shards,
+AdmissionController::AdmissionController(std::size_t num_engines,
                                          const SchedulerOptions& options,
                                          std::size_t max_batch,
                                          std::int64_t base_wait_us)
     : options_(options),
+      num_engines_(num_engines),
       max_batch_(max_batch),
       base_wait_us_(base_wait_us),
       start_(SchedClock::now()) {
+  if (num_engines_ == 0) {
+    throw std::invalid_argument("AdmissionController: no engines");
+  }
   if (!(options_.ewma_alpha > 0.0) || options_.ewma_alpha > 1.0) {
     throw std::invalid_argument(
         "SchedulerOptions: ewma_alpha must be in (0, 1], got " +
@@ -46,27 +28,16 @@ AdmissionController::AdmissionController(std::size_t num_shards,
     throw std::invalid_argument(
         "SchedulerOptions: priority_aging_us must be non-negative");
   }
-  if (options_.steal_poll_us <= 0) {
-    throw std::invalid_argument(
-        "SchedulerOptions: steal_poll_us must be positive");
-  }
   if (options_.min_wait_us < 0 ||
       options_.min_wait_us > options_.max_wait_us_bound) {
     throw std::invalid_argument(
         "SchedulerOptions: need 0 <= min_wait_us <= max_wait_us_bound");
   }
+  wait_us_.store(std::clamp(base_wait_us_, options_.min_wait_us,
+                            options_.max_wait_us_bound),
+                 std::memory_order_relaxed);
   trace_.reserve(kTraceCapacity);
-  shards_.reserve(num_shards);
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    shards_.push_back(std::make_unique<ShardState>());
-    shards_[s]->wait_us.store(
-        std::clamp(base_wait_us_, options_.min_wait_us,
-                   options_.max_wait_us_bound),
-        std::memory_order_relaxed);
-  }
 }
-
-AdmissionController::~AdmissionController() = default;
 
 std::int64_t AdmissionController::AdaptWaitUs(double arrival_qps,
                                               std::size_t max_batch,
@@ -82,62 +53,66 @@ std::int64_t AdmissionController::AdaptWaitUs(double arrival_qps,
                     max_us);
 }
 
-void AdmissionController::RecordArrival(std::size_t shard,
-                                        SchedClock::time_point now) {
-  ShardState& state = *shards_[shard];
-  std::lock_guard<std::mutex> lock(state.mu);
-  if (state.has_arrival) {
-    const double gap_us =
-        std::chrono::duration<double, std::micro>(now - state.last_arrival)
-            .count();
-    if (!state.ewma_gap_seeded) {
+double AdmissionController::ArrivalQpsLocked() const {
+  // The gaps are those of the one queue; each engine sees 1/num_engines of
+  // its arrivals, which is the rate its batcher can coalesce.
+  return ewma_gap_us_ > 0.0
+             ? 1e6 / (ewma_gap_us_ * static_cast<double>(num_engines_))
+             : 0.0;
+}
+
+double AdmissionController::ServiceQpsLocked() const {
+  return ewma_service_us_ > 0.0 ? 1e6 / ewma_service_us_ : 0.0;
+}
+
+void AdmissionController::RecordArrival(SchedClock::time_point now) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (has_arrival_) {
+    // Client threads stamp `now` before taking the lock, so a stamp can
+    // trail the newest one recorded; such a gap counts as zero.
+    const double gap_us = std::max(
+        0.0,
+        std::chrono::duration<double, std::micro>(now - last_arrival_).count());
+    if (!ewma_gap_seeded_) {
       // First observed gap seeds the EWMA — even a zero gap: a burst of
       // equal stamps is a legitimately infinite-rate observation, and
       // later gaps blend into it instead of replacing it.
-      state.ewma_gap_us = gap_us;
-      state.ewma_gap_seeded = true;
+      ewma_gap_us_ = gap_us;
+      ewma_gap_seeded_ = true;
     } else {
-      state.ewma_gap_us = options_.ewma_alpha * gap_us +
-                          (1.0 - options_.ewma_alpha) * state.ewma_gap_us;
+      ewma_gap_us_ = options_.ewma_alpha * gap_us +
+                     (1.0 - options_.ewma_alpha) * ewma_gap_us_;
     }
   }
-  state.has_arrival = true;
-  // A monotone clock can still hand equal stamps to back-to-back arrivals;
-  // keeping the max preserves gap >= 0.
-  state.last_arrival = std::max(state.last_arrival, now);
+  has_arrival_ = true;
+  last_arrival_ = std::max(last_arrival_, now);
 }
 
-void AdmissionController::RecordBatch(std::size_t shard, std::size_t served,
+void AdmissionController::RecordBatch(std::size_t engine, std::size_t served,
                                       double engine_ms,
                                       std::int64_t applied_wait_us,
                                       SchedClock::time_point now) {
   if (served == 0) return;
-  ShardState& state = *shards_[shard];
   SchedulerTraceEvent event;
   {
-    std::lock_guard<std::mutex> lock(state.mu);
+    std::lock_guard<std::mutex> lock(mu_);
     const double per_request_us =
         1e3 * engine_ms / static_cast<double>(served);
-    state.ewma_service_us =
-        state.ewma_service_us <= 0.0
+    ewma_service_us_ =
+        ewma_service_us_ <= 0.0
             ? per_request_us
             : options_.ewma_alpha * per_request_us +
-                  (1.0 - options_.ewma_alpha) * state.ewma_service_us;
+                  (1.0 - options_.ewma_alpha) * ewma_service_us_;
 
-    const double arrival_qps =
-        state.ewma_gap_us > 0.0 ? 1e6 / state.ewma_gap_us : 0.0;
-    state.wait_us.store(
-        AdaptWaitUs(arrival_qps, max_batch_, base_wait_us_,
-                    options_.min_wait_us, options_.max_wait_us_bound),
-        std::memory_order_relaxed);
-
-    event.shard = shard;
-    event.arrival_qps = arrival_qps;
-    event.service_qps =
-        state.ewma_service_us > 0.0 ? 1e6 / state.ewma_service_us : 0.0;
-    event.batch_wait_us = state.wait_us.load(std::memory_order_relaxed);
+    event.engine = engine;
+    event.arrival_qps = ArrivalQpsLocked();
+    event.service_qps = ServiceQpsLocked();
+    event.batch_wait_us =
+        AdaptWaitUs(event.arrival_qps, max_batch_, base_wait_us_,
+                    options_.min_wait_us, options_.max_wait_us_bound);
     event.applied_wait_us = applied_wait_us;
-    event.admit_limit = state.last_admit_limit;
+    event.admit_limit = last_admit_limit_;
+    wait_us_.store(event.batch_wait_us, std::memory_order_relaxed);
   }
   std::lock_guard<std::mutex> lock(trace_mu_);
   // Pumps stamp `now` before taking the lock, so two of them can append
@@ -154,35 +129,28 @@ void AdmissionController::RecordBatch(std::size_t shard, std::size_t served,
   }
 }
 
-std::int64_t AdmissionController::WaitUs(std::size_t shard) const {
-  return shards_[shard]->wait_us.load(std::memory_order_relaxed);
-}
-
-bool AdmissionController::Admit(std::size_t shard, std::size_t queue_depth,
-                                double budget_ms) {
+bool AdmissionController::Admit(std::size_t queue_depth, double budget_ms) {
   if (!options_.adaptive) return true;
-  ShardState& state = *shards_[shard];
-  std::lock_guard<std::mutex> lock(state.mu);
-  if (state.ewma_service_us <= 0.0) return true;  // never shed blind
-  // The shard serves its queue serially, so a request admitted behind
-  // `queue_depth` others waits about depth * service_time before its batch
-  // even forms; admitting it past that point only manufactures a miss.
-  const std::int64_t limit = std::max<std::int64_t>(
-      1, static_cast<std::int64_t>(1e3 * budget_ms / state.ewma_service_us));
-  state.last_admit_limit = limit;
-  return static_cast<std::int64_t>(queue_depth) < limit;
+  std::lock_guard<std::mutex> lock(mu_);
+  if (ewma_service_us_ <= 0.0) return true;  // never shed blind
+  // Each engine serves its share of the queue serially, so a request
+  // admitted behind `queue_depth` others waits about
+  // depth * service_time / num_engines before its batch even forms;
+  // admitting it past that point only manufactures a miss. Each engine's
+  // share admits at least one request, as a lone queue always would.
+  const std::int64_t per_engine = std::max<std::int64_t>(
+      1, static_cast<std::int64_t>(1e3 * budget_ms / ewma_service_us_));
+  last_admit_limit_ = per_engine * static_cast<std::int64_t>(num_engines_);
+  return static_cast<std::int64_t>(queue_depth) < last_admit_limit_;
 }
 
-SchedulerShardSnapshot AdmissionController::Snapshot(std::size_t shard) const {
-  ShardState& state = *shards_[shard];
-  SchedulerShardSnapshot snap;
-  snap.shard = shard;
-  std::lock_guard<std::mutex> lock(state.mu);
-  snap.arrival_qps = state.ewma_gap_us > 0.0 ? 1e6 / state.ewma_gap_us : 0.0;
-  snap.service_qps =
-      state.ewma_service_us > 0.0 ? 1e6 / state.ewma_service_us : 0.0;
-  snap.batch_wait_us = state.wait_us.load(std::memory_order_relaxed);
-  snap.admit_limit = state.last_admit_limit;
+SchedulerSnapshot AdmissionController::Snapshot() const {
+  SchedulerSnapshot snap;
+  std::lock_guard<std::mutex> lock(mu_);
+  snap.arrival_qps = ArrivalQpsLocked();
+  snap.service_qps = ServiceQpsLocked();
+  snap.batch_wait_us = WaitUs();
+  snap.admit_limit = last_admit_limit_;
   return snap;
 }
 

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <exception>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -59,12 +60,7 @@ struct ServingEngine::Counters {
   std::int64_t dropped = 0;
   std::int64_t deadline_misses = 0;
   std::int64_t shed_adaptive = 0;
-  std::int64_t stolen_batches = 0;
-  std::int64_t stolen_requests = 0;
   std::int64_t engine_errors = 0;
-  std::vector<std::int64_t> shed_adaptive_per_shard;
-  std::vector<std::int64_t> stolen_from;  ///< batches taken out of shard s
-  std::vector<std::int64_t> stolen_by;    ///< batches shard s's pump stole
   std::array<std::vector<double>, kNumQosClasses> latency_window;
   std::array<std::size_t, kNumQosClasses> latency_next{};  // ring cursor
   /// Hit/miss split of the same completions: a hit was replayed from the
@@ -118,46 +114,40 @@ ServingEngine::ServingEngine(core::ShardedNaiEngine& engine,
     // before any request can be admitted.
     engine_->ValidateConfig(policies_.policies[c].config);
   }
-  // Pin the construction-time state once. A snapshot swap never changes the
-  // shard *count* or moves existing owners, so the per-shard structures
-  // sized here stay correct across every later SwapSnapshot.
+  // One pump per shard engine of the construction-time state. A snapshot
+  // swap never takes an engine away (existing owners never move), so every
+  // pump's engine exists in every later state.
   const std::shared_ptr<const core::ShardedNaiEngine::ShardState> state =
       engine_->PinState();
-  const graph::ShardedGraph& sharded = state->sharded;
-  stats_->batch_size_hist.assign(options_.batcher.max_batch, 0);
-  stats_->shed_adaptive_per_shard.assign(sharded.num_shards(), 0);
-  stats_->stolen_from.assign(sharded.num_shards(), 0);
-  stats_->stolen_by.assign(sharded.num_shards(), 0);
-
-  // The controller constructor validates every scheduler knob; queue and
-  // batcher construction validates queue_capacity and the BatcherConfig.
-  // All of it happens here, on the caller's thread — a degenerate option
-  // must throw from this constructor, not abort a pump thread.
-  controller_ = std::make_unique<AdmissionController>(
-      sharded.num_shards(), options_.scheduler, options_.batcher.max_batch,
-      options_.batcher.max_wait_us);
-  const QueuePolicy queue_policy{options_.scheduler.priority,
-                                 options_.scheduler.priority_aging_us};
-  queues_.resize(sharded.num_shards());
-  batchers_.resize(sharded.num_shards());
-  engine_mu_.resize(sharded.num_shards());
-  caches_.resize(sharded.num_shards());
-  for (std::size_t s = 0; s < sharded.num_shards(); ++s) {
-    if (sharded.shards[s].num_owned() == 0) continue;
-    queues_[s] =
-        std::make_unique<RequestQueue>(options_.queue_capacity, queue_policy);
-    batchers_[s] =
-        std::make_unique<DynamicBatcher>(*queues_[s], options_.batcher);
-    engine_mu_[s] = std::make_unique<std::mutex>();
-    if (options_.cache.enabled) {
-      // The ResultCache constructor rejects a zero capacity, so a
-      // degenerate cache option throws here like every other knob.
-      caches_[s] = std::make_unique<ResultCache>(options_.cache.capacity);
-    }
+  std::vector<std::size_t> engines;
+  for (std::size_t w = 0; w < state->engines.size(); ++w) {
+    if (state->engines[w] != nullptr) engines.push_back(w);
   }
-  for (std::size_t s = 0; s < queues_.size(); ++s) {
-    if (queues_[s] == nullptr) continue;
-    pumps_.emplace_back([this, s] { PumpShard(s); });
+  stats_->batch_size_hist.assign(options_.batcher.max_batch, 0);
+
+  // The controller constructor validates every scheduler knob; queue,
+  // batcher and cache construction validate queue_capacity, the
+  // BatcherConfig and the cache capacity. All of it happens here, on the
+  // caller's thread — a degenerate option must throw from this
+  // constructor, not abort a pump thread. Capacities are per engine, so
+  // the one queue and the one cache hold what the engines' shares add up
+  // to.
+  controller_ = std::make_unique<AdmissionController>(
+      engines.size(), options_.scheduler, options_.batcher.max_batch,
+      options_.batcher.max_wait_us);
+  queue_ = std::make_unique<RequestQueue>(
+      options_.queue_capacity * engines.size(),
+      QueuePolicy{options_.scheduler.priority,
+                  options_.scheduler.priority_aging_us});
+  if (options_.cache.enabled) {
+    cache_ = std::make_unique<ResultCache>(options_.cache.capacity *
+                                           engines.size());
+  }
+  for (const std::size_t w : engines) {
+    batchers_.push_back(
+        std::make_unique<DynamicBatcher>(*queue_, options_.batcher));
+    DynamicBatcher* batcher = batchers_.back().get();
+    pumps_.emplace_back([this, batcher, w] { Pump(*batcher, w); });
   }
 }
 
@@ -183,19 +173,15 @@ Request ServingEngine::MakeRequest(std::int32_t node, QosClass qos,
   return request;
 }
 
-std::size_t ServingEngine::ShardFor(std::int32_t node) const {
+void ServingEngine::CheckNode(std::int32_t node) const {
   // Pin the current state: after an ApplyDeltas swap, newly inserted nodes
-  // become routable here without any front-end reconfiguration (their owner
-  // was assigned by SwapSnapshot; existing owners never move).
-  const std::shared_ptr<const core::ShardedNaiEngine::ShardState> state =
-      engine_->PinState();
-  const std::vector<std::int32_t>& owner = state->sharded.owner;
-  if (node < 0 || static_cast<std::size_t>(node) >= owner.size()) {
+  // become servable without any front-end reconfiguration.
+  const std::int64_t num_nodes = engine_->PinState()->snapshot->num_nodes();
+  if (node < 0 || node >= num_nodes) {
     throw std::out_of_range("ServingEngine: query node " +
                             std::to_string(node) + " outside [0, " +
-                            std::to_string(owner.size()) + ")");
+                            std::to_string(num_nodes) + ")");
   }
-  return static_cast<std::size_t>(owner[node]);
 }
 
 void ServingEngine::Complete(Request& request, Response response) {
@@ -214,18 +200,16 @@ void ServingEngine::Reject(Request& request) {
   Complete(request, response);
 }
 
-std::optional<Response> ServingEngine::TryServeFromCache(std::size_t shard,
-                                                         std::int32_t node,
+std::optional<Response> ServingEngine::TryServeFromCache(std::int32_t node,
                                                          QosClass qos,
                                                          double deadline_ms) {
-  ResultCache* cache = caches_[shard].get();
-  if (cache == nullptr) return std::nullopt;
-  // The shutdown contract beats the cache: once the shard queue is closed
-  // every submission is rejected, warm or not.
-  if (queues_[shard]->closed()) return std::nullopt;
+  if (cache_ == nullptr) return std::nullopt;
+  // The shutdown contract beats the cache: once the queue is closed every
+  // submission is rejected, warm or not.
+  if (queue_->closed()) return std::nullopt;
   const ServeClock::time_point admitted = ServeClock::now();
   const std::optional<CachedResult> cached =
-      cache->Lookup(node, &policies_.For(qos).config);
+      cache_->Lookup(node, &policies_.For(qos).config);
   if (!cached.has_value()) return std::nullopt;
   const ServeClock::time_point done = ServeClock::now();
 
@@ -239,7 +223,7 @@ std::optional<Response> ServingEngine::TryServeFromCache(std::size_t shard,
   response.deadline_missed = response.latency_ms > BudgetMs(qos, deadline_ms);
   // A hit replays the epoch the entry was filled at. It can lag the engine
   // only in the swap-to-bump window of ApplyDeltas (the bump logically
-  // empties the caches); such replays are the cache's share of
+  // empties the cache); such replays are the cache's share of
   // stale_served. Version is read before the stats lock (never nest the
   // engine's state mutex under it).
   response.epoch = cached->graph_epoch;
@@ -271,17 +255,17 @@ std::future<Response> ReadyFuture(Response response) {
 
 std::future<Response> ServingEngine::Submit(std::int32_t node, QosClass qos,
                                             double deadline_ms) {
-  const std::size_t s = ShardFor(node);
+  CheckNode(node);
   // A warm node never touches the queue, the batcher or the admission
   // controller: the hit completes inline on the submitting thread. Hits
   // are deliberately not RecordArrival'd — they carry no information about
   // the queueing process the controller's EWMAs model.
   if (std::optional<Response> hit =
-          TryServeFromCache(s, node, qos, deadline_ms)) {
+          TryServeFromCache(node, qos, deadline_ms)) {
     return ReadyFuture(std::move(*hit));
   }
   Request request = MakeRequest(node, qos, deadline_ms);
-  controller_->RecordArrival(s, request.admitted);
+  controller_->RecordArrival(request.admitted);
   std::future<Response> future = request.promise.get_future();
   // `submitted` is counted before the push so a concurrent Stats()
   // snapshot can never observe completed > submitted; a failed push
@@ -292,7 +276,7 @@ std::future<Response> ServingEngine::Submit(std::int32_t node, QosClass qos,
     std::lock_guard<std::mutex> lock(stats_->mu);
     ++stats_->submitted;
   }
-  if (!queues_[s]->Push(std::move(request))) {
+  if (!queue_->Push(std::move(request))) {
     {
       std::lock_guard<std::mutex> lock(stats_->mu);
       --stats_->submitted;
@@ -304,25 +288,23 @@ std::future<Response> ServingEngine::Submit(std::int32_t node, QosClass qos,
 
 std::optional<std::future<Response>> ServingEngine::TrySubmit(
     std::int32_t node, QosClass qos, double deadline_ms) {
-  const std::size_t s = ShardFor(node);
+  CheckNode(node);
   // Hits bypass admission entirely — in particular they cannot be shed:
   // replaying a cached result is cheaper than the shed bookkeeping.
   if (std::optional<Response> hit =
-          TryServeFromCache(s, node, qos, deadline_ms)) {
+          TryServeFromCache(node, qos, deadline_ms)) {
     return ReadyFuture(std::move(*hit));
   }
   Request request = MakeRequest(node, qos, deadline_ms);
-  controller_->RecordArrival(s, request.admitted);
+  controller_->RecordArrival(request.admitted);
   // Adaptive shedding: if the queue ahead of this request already implies
   // a wait past its deadline budget, admitting it only manufactures a
   // deadline miss and delays everyone behind it. Admit owns the decision
   // entirely (it is a no-op yes when the controller is not adaptive).
-  if (!controller_->Admit(s, queues_[s]->size(),
-                          BudgetMs(qos, deadline_ms))) {
+  if (!controller_->Admit(queue_->size(), BudgetMs(qos, deadline_ms))) {
     std::lock_guard<std::mutex> lock(stats_->mu);
     ++stats_->rejected;
     ++stats_->shed_adaptive;
-    ++stats_->shed_adaptive_per_shard[s];
     return std::nullopt;
   }
   std::future<Response> future = request.promise.get_future();
@@ -330,7 +312,7 @@ std::optional<std::future<Response>> ServingEngine::TrySubmit(
     std::lock_guard<std::mutex> lock(stats_->mu);
     ++stats_->submitted;
   }
-  if (!queues_[s]->TryPush(std::move(request))) {
+  if (!queue_->TryPush(std::move(request))) {
     std::lock_guard<std::mutex> lock(stats_->mu);
     --stats_->submitted;
     ++stats_->rejected;
@@ -342,22 +324,22 @@ std::optional<std::future<Response>> ServingEngine::TrySubmit(
 bool ServingEngine::SubmitWithCallback(
     std::int32_t node, QosClass qos,
     std::function<void(const Response&)> callback, double deadline_ms) {
-  const std::size_t s = ShardFor(node);
+  CheckNode(node);
   if (std::optional<Response> hit =
-          TryServeFromCache(s, node, qos, deadline_ms)) {
+          TryServeFromCache(node, qos, deadline_ms)) {
     // On a hit the callback runs inline on the submitting thread (there is
     // no pump involved), mirroring the inline-ready future of Submit.
     if (callback) callback(*hit);
     return true;
   }
   Request request = MakeRequest(node, qos, deadline_ms);
-  controller_->RecordArrival(s, request.admitted);
+  controller_->RecordArrival(request.admitted);
   request.callback = std::move(callback);
   {
     std::lock_guard<std::mutex> lock(stats_->mu);
     ++stats_->submitted;
   }
-  if (queues_[s]->Push(std::move(request))) return true;
+  if (queue_->Push(std::move(request))) return true;
   {
     std::lock_guard<std::mutex> lock(stats_->mu);
     --stats_->submitted;
@@ -368,7 +350,7 @@ bool ServingEngine::SubmitWithCallback(
 
 void ServingEngine::ServeBatch(
     const std::shared_ptr<const core::ShardedNaiEngine::ShardState>& state,
-    std::size_t engine_shard, std::vector<Request> batch,
+    std::size_t engine, std::vector<Request> batch,
     std::int64_t applied_wait_us) {
   // Everything version-dependent — the shard engine, the epoch stamped
   // into responses — comes from the one state the caller pinned, so a
@@ -399,29 +381,18 @@ void ServingEngine::ServeBatch(
 
   // One engine call for the whole (possibly QoS-mixed) batch: queries
   // sharing a policy config group together inside InferMixed, and the
-  // shard engine's ExecContext pins the work to this shard's pool. Only
-  // this shard's pump drives its engine, so the per-shard mutex is
-  // uncontended; it stays as a guard against that invariant breaking.
+  // shard engine's ExecContext pins the work to its shard's pool.
   std::vector<core::ConfiguredQuery> queries;
   queries.reserve(serve.size());
   for (const Request& request : serve) {
     queries.push_back({request.node, &policies_.For(request.qos).config});
   }
-  // Every batch is single-owner (it was drained from one shard's queue —
-  // by its own pump or a thief), so a stolen batch's fills land in the
-  // *owner* shard's cache, where future lookups for these nodes route
-  // (owners never move across swaps, so the pinned state's owner map is
-  // authoritative). The fill epoch is captured before the engine call: if
-  // a BumpEpoch lands while the batch computes, Insert drops the fills.
-  ResultCache* cache =
-      caches_[static_cast<std::size_t>(
-                  state->sharded.owner[serve.front().node])]
-          .get();
-  const std::uint64_t fill_epoch = cache != nullptr ? cache->epoch() : 0;
+  // The fill epoch is captured before the engine call: if a BumpEpoch
+  // lands while the batch computes, Insert drops the fills.
+  const std::uint64_t fill_epoch = cache_ != nullptr ? cache_->epoch() : 0;
   core::InferenceResult result;
   try {
-    std::lock_guard<std::mutex> lock(*engine_mu_[engine_shard]);
-    result = state->engines[engine_shard]->InferMixed(queries);
+    result = state->engines[engine]->InferMixed(queries);
   } catch (...) {
     // An engine exception fails this batch, not the server: every request
     // in it completes unserved, is counted, and the pump keeps serving.
@@ -441,16 +412,16 @@ void ServingEngine::ServeBatch(
     return;
   }
   const ServeClock::time_point done = ServeClock::now();
-  if (cache != nullptr) {
+  if (cache_ != nullptr) {
     for (std::size_t i = 0; i < serve.size(); ++i) {
-      cache->Insert(serve[i].node, &policies_.For(serve[i].qos).config,
-                    {result.predictions[i], result.exit_depths[i],
-                     state->version},
-                    fill_epoch);
+      cache_->Insert(serve[i].node, &policies_.For(serve[i].qos).config,
+                     {result.predictions[i], result.exit_depths[i],
+                      state->version},
+                     fill_epoch);
     }
   }
-  controller_->RecordBatch(engine_shard, serve.size(),
-                           result.stats.wall_time_ms, applied_wait_us, done);
+  controller_->RecordBatch(engine, serve.size(), result.stats.wall_time_ms,
+                           applied_wait_us, done);
 
   // Staleness accounting: if a swap landed while this batch was in flight,
   // every answer in it was computed on the pre-swap graph. Version is read
@@ -493,81 +464,24 @@ void ServingEngine::ServeBatch(
   }
 }
 
-bool ServingEngine::TrySteal(std::size_t thief) {
-  // Victim: the most backlogged sibling queue, if any qualifies.
-  std::size_t victim = queues_.size();
-  std::size_t best = options_.scheduler.steal_min_backlog;
-  for (std::size_t s = 0; s < queues_.size(); ++s) {
-    if (s == thief || queues_[s] == nullptr) continue;
-    const std::size_t depth = queues_[s]->size();
-    if (depth >= best && depth > 0) {
-      best = depth;
-      victim = s;
-    }
-  }
-  if (victim == queues_.size()) return false;
-
-  std::vector<Request> batch =
-      queues_[victim]->TryPopBatch(options_.batcher.max_batch);
-  if (batch.empty()) return false;
-
-  // Every shard engine serves the whole snapshot, so the thief serves the
-  // whole stolen batch on its own engine, bit-identical to the owner's.
-  {
-    std::lock_guard<std::mutex> lock(stats_->mu);
-    ++stats_->stolen_batches;
-    stats_->stolen_requests += static_cast<std::int64_t>(batch.size());
-    ++stats_->stolen_by[thief];
-    ++stats_->stolen_from[victim];
-  }
-  // Stolen batches are drained directly (TryPopBatch), never coalesced —
-  // no window applied, so the trace records -1.
-  ServeBatch(engine_->PinState(), thief, std::move(batch), -1);
-  return true;
-}
-
-void ServingEngine::PumpShard(std::size_t shard) {
-  DynamicBatcher& batcher = *batchers_[shard];
-  const bool stealing = options_.scheduler.stealing;
+void ServingEngine::Pump(DynamicBatcher& batcher, std::size_t engine) {
   const bool adaptive = options_.scheduler.adaptive;
-  const std::int64_t poll_us = options_.scheduler.steal_poll_us;
-  // Idle pumps back off exponentially (up to 16x the base poll) so a quiet
-  // deployment is not a spin loop; any work — own or stolen — resets it.
-  std::int64_t idle_backoff = 1;
-
   while (true) {
-    if (adaptive) batcher.set_max_wait_us(controller_->WaitUs(shard));
-    std::vector<Request> batch =
-        stealing ? batcher.NextBatch(ServeClock::now() +
-                                     std::chrono::microseconds(
-                                         poll_us * idle_backoff))
-                 : batcher.NextBatch();
-    if (!batch.empty()) {
-      idle_backoff = 1;
-      // Pin one engine state per batch — this is the swap point: an
-      // ApplyDeltas that lands mid-batch takes effect at the next pin, so
-      // each shard applies the snapshot atomically between batches.
-      // The batcher remembers the window this batch actually opened with;
-      // only this pump drives the batcher, so the read cannot race.
-      ServeBatch(engine_->PinState(), shard, std::move(batch),
-                 batcher.last_window_us());
-      continue;
-    }
-    if (queues_[shard]->drained()) return;
-    if (stealing) {
-      if (TrySteal(shard)) {
-        idle_backoff = 1;
-      } else {
-        idle_backoff = std::min<std::int64_t>(idle_backoff * 2, 16);
-      }
-    }
+    if (adaptive) batcher.set_max_wait_us(controller_->WaitUs());
+    std::vector<Request> batch = batcher.NextBatch();
+    if (batch.empty()) return;  // closed and drained
+    // Pin one engine state per batch — this is the swap point: an
+    // ApplyDeltas that lands mid-batch takes effect at the next pin, so
+    // each pump applies the snapshot atomically between batches. The
+    // batcher remembers the window this batch actually opened with; only
+    // this pump drives the batcher, so the read cannot race.
+    ServeBatch(engine_->PinState(), engine, std::move(batch),
+               batcher.last_window_us());
   }
 }
 
 void ServingEngine::BumpEpoch() {
-  for (const std::unique_ptr<ResultCache>& cache : caches_) {
-    if (cache != nullptr) cache->BumpEpoch();
-  }
+  if (cache_ != nullptr) cache_->BumpEpoch();
 }
 
 std::future<DeltaApplyReport> ServingEngine::ApplyDeltas(
@@ -575,6 +489,13 @@ std::future<DeltaApplyReport> ServingEngine::ApplyDeltas(
   auto promise = std::make_shared<std::promise<DeltaApplyReport>>();
   std::future<DeltaApplyReport> future = promise->get_future();
   std::lock_guard<std::mutex> lock(ingest_mu_);
+  // Checked under the lock Shutdown joins under, so every ingest thread
+  // is one that Shutdown joins.
+  if (shut_down_) {
+    promise->set_exception(std::make_exception_ptr(std::runtime_error(
+        "ServingEngine::ApplyDeltas: the server is shut down")));
+    return future;
+  }
   // Joining the previous ingest thread here (not inside the new one) both
   // bounds us to one live thread and serializes applies: the builder below
   // always starts from the snapshot the previous apply published.
@@ -616,19 +537,16 @@ std::future<DeltaApplyReport> ServingEngine::ApplyDeltas(
 
 void ServingEngine::Shutdown() {
   {
-    std::lock_guard<std::mutex> lock(shutdown_mu_);
+    // Once shut_down_ is set under ingest_mu_ no ApplyDeltas spawns an
+    // ingest thread; an in-flight one finishes its swap before the drain,
+    // so every admitted request still completes, possibly on the new
+    // version.
+    std::lock_guard<std::mutex> lock(ingest_mu_);
     if (shut_down_) return;
     shut_down_ = true;
-  }
-  {
-    // Let an in-flight ApplyDeltas finish its swap before the drain: every
-    // admitted request still completes, just possibly on the new version.
-    std::lock_guard<std::mutex> lock(ingest_mu_);
     if (ingest_.joinable()) ingest_.join();
   }
-  for (const std::unique_ptr<RequestQueue>& queue : queues_) {
-    if (queue != nullptr) queue->Close();
-  }
+  queue_->Close();
   for (std::thread& pump : pumps_) pump.join();
   pumps_.clear();
 }
@@ -676,26 +594,14 @@ ServingStatsSnapshot ServingEngine::Stats() const {
     snap.snapshot_swaps = stats_->snapshot_swaps;
     snap.stale_served = stats_->stale_served;
     snap.shed_adaptive = stats_->shed_adaptive;
-    snap.stolen_batches = stats_->stolen_batches;
-    snap.stolen_requests = stats_->stolen_requests;
     snap.engine_errors = stats_->engine_errors;
-    snap.scheduler.resize(queues_.size());
-    for (std::size_t s = 0; s < queues_.size(); ++s) {
-      if (queues_[s] == nullptr) {
-        snap.scheduler[s].shard = s;
-        continue;
-      }
-      snap.scheduler[s] = controller_->Snapshot(s);
-      snap.scheduler[s].adaptive_sheds = stats_->shed_adaptive_per_shard[s];
-      snap.scheduler[s].batches_stolen_from = stats_->stolen_from[s];
-      snap.scheduler[s].batches_stolen_by = stats_->stolen_by[s];
-    }
     windows = stats_->latency_window;
     hit_windows = stats_->hit_window;
     miss_windows = stats_->miss_window;
     completed = stats_->completed;
     completed_hits = stats_->completed_hits;
   }
+  snap.scheduler = controller_->Snapshot();
   snap.adaptation_trace = controller_->Trace();
   // Percentiles come from the bounded recent window, whose size each
   // summary reports as `window`; the `count` fields are then overwritten
@@ -715,21 +621,11 @@ ServingStatsSnapshot ServingEngine::Stats() const {
   }
   snap.latency = Summarize(std::move(all));
   snap.latency.count = snap.completed;
-  for (const std::unique_ptr<RequestQueue>& queue : queues_) {
-    if (queue != nullptr) snap.queue_depth += queue->size();
-  }
-  snap.caches.resize(caches_.size());
-  for (std::size_t s = 0; s < caches_.size(); ++s) {
-    if (caches_[s] == nullptr) continue;
-    snap.caches[s] = caches_[s]->Stats();
-    snap.cache_hits += snap.caches[s].hits;
-    snap.cache_misses += snap.caches[s].misses;
-  }
-  const std::int64_t lookups = snap.cache_hits + snap.cache_misses;
-  snap.cache_hit_ratio = lookups == 0
-                             ? 0.0
-                             : static_cast<double>(snap.cache_hits) /
-                                   static_cast<double>(lookups);
+  snap.queue_depth = queue_->size();
+  if (cache_ != nullptr) snap.cache = cache_->Stats();
+  snap.cache_hits = snap.cache.hits;
+  snap.cache_misses = snap.cache.misses;
+  snap.cache_hit_ratio = snap.cache.hit_ratio;
   return snap;
 }
 

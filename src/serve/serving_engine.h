@@ -23,21 +23,22 @@
 
 namespace nai::serve {
 
-/// Front-end tuning knobs (the per-shard queue and batcher are replicated
-/// from these for every shard that owns nodes).
+/// Front-end tuning knobs.
 struct ServingOptions {
-  /// Admission-queue capacity per shard; TrySubmit sheds above it.
+  /// Admission-queue capacity per engine: the one queue holds
+  /// queue_capacity * engines requests; TrySubmit sheds above it.
   std::size_t queue_capacity = 1024;
+  /// Every pump's batcher runs with this configuration.
   BatcherConfig batcher;
   /// When true, requests whose deadline already passed at batch formation
   /// are completed unserved (prediction -1) instead of burning engine time
   /// on an answer nobody is waiting for.
   bool drop_expired = false;
-  /// The adaptive scheduler: per-class priority with aging, cross-shard
-  /// work stealing, and the admission controller (see SchedulerOptions —
-  /// each mechanism can be disabled independently).
+  /// The adaptive scheduler: per-class priority with aging and the
+  /// admission controller (see SchedulerOptions — each mechanism can be
+  /// disabled independently).
   SchedulerOptions scheduler;
-  /// The per-shard, epoch-versioned prediction cache (see ResultCache).
+  /// The epoch-versioned prediction cache (see ResultCache).
   /// Hits bypass the queue, the batcher and the admission controller
   /// entirely; misses fill at batch completion. Disable for A/Bs or when
   /// queries never repeat.
@@ -66,12 +67,12 @@ struct LatencySummary {
 /// snapshot (taken under the stats lock); queue_depth is sampled at
 /// snapshot time.
 struct ServingStatsSnapshot {
-  std::int64_t submitted = 0;        ///< admitted into a shard queue
+  std::int64_t submitted = 0;        ///< admitted into the queue
   std::int64_t rejected = 0;         ///< shed at admission (full / controller / shut down)
   std::int64_t completed = 0;        ///< served through the engine
   std::int64_t dropped = 0;          ///< expired in queue (drop_expired)
   std::int64_t deadline_misses = 0;  ///< completed or dropped past deadline
-  std::size_t queue_depth = 0;       ///< waiting requests across all shards
+  std::size_t queue_depth = 0;       ///< waiting requests in the queue
 
   LatencySummary latency;  ///< all served requests
   std::array<LatencySummary, kNumQosClasses> per_class;
@@ -83,37 +84,32 @@ struct ServingStatsSnapshot {
   /// `per_class_hit[c].count + per_class_miss[c].count == per_class[c].count`.
   std::array<LatencySummary, kNumQosClasses> per_class_hit;
   std::array<LatencySummary, kNumQosClasses> per_class_miss;
-  std::int64_t cache_hits = 0;    ///< lookups answered inline, all shards
-  std::int64_t cache_misses = 0;  ///< lookups that fell through, all shards
+  std::int64_t cache_hits = 0;    ///< lookups answered inline
+  std::int64_t cache_misses = 0;  ///< lookups that fell through
   double cache_hit_ratio = 0.0;   ///< hits / (hits + misses), 0 when none
-  /// Per-shard cache counters (indexed by shard id; default-initialized for
-  /// shards that own no nodes or when the cache is disabled).
-  std::vector<ResultCacheStats> caches;
+  /// The cache's own counters (default-initialized when it is disabled).
+  ResultCacheStats cache;
 
   /// batch_size_hist[s-1] = engine calls that served exactly s requests.
   std::vector<std::int64_t> batch_size_hist;
   std::int64_t num_batches = 0;
   double mean_batch_size = 0.0;
 
-  /// Scheduler counters. `shed_adaptive` is the subset of `rejected` the
-  /// admission controller turned away with the queue below capacity
-  /// (predicted queue delay already past the request's budget).
-  /// `stolen_requests` counts requests served by a pump other than their
-  /// owner's, on the thief's own engine.
+  /// The subset of `rejected` the admission controller turned away with
+  /// the queue below capacity (predicted queue delay already past the
+  /// request's budget).
   std::int64_t shed_adaptive = 0;
-  std::int64_t stolen_batches = 0;
+  /// Always 0: nothing is stolen, because every pump drains the one queue.
+  /// Kept because perfbench/nai_perfbench.cc reads them.
   std::int64_t stolen_requests = 0;
-  /// Always 0: a thief serves every stolen request itself. Kept because
-  /// perfbench/nai_perfbench.cc reads it.
   std::int64_t steal_fallback_requests = 0;
   /// Requests completed unserved because the engine call serving their
   /// batch threw; the pump keeps serving after it.
   std::int64_t engine_errors = 0;
-  /// Per-shard adaptation state (indexed by shard id; default-initialized
-  /// for shards that own no nodes) and the bounded adaptation trace —
-  /// how the controller moved each shard's window/admission limit as the
-  /// arrival process changed.
-  std::vector<SchedulerShardSnapshot> scheduler;
+  /// The controller's adaptation state and the bounded adaptation trace —
+  /// how it moved the window/admission limit as the arrival process
+  /// changed, and which engine served each batch.
+  SchedulerSnapshot scheduler;
   std::vector<SchedulerTraceEvent> adaptation_trace;
 
   /// Graph-churn counters. `epoch` is the graph version (snapshot version)
@@ -152,40 +148,39 @@ struct DeltaApplyReport {
   double apply_ms = 0.0;            ///< build + swap + epoch bump wall time
 };
 
-/// The streaming serving front-end: admission queues, dynamic batching,
+/// The streaming serving front-end: admission queue, dynamic batching,
 /// QoS-class resolution and adaptive scheduling over a sharded NAI engine.
 ///
-/// One RequestQueue + DynamicBatcher + pump thread per shard that owns
-/// nodes. Submit routes a request to its owning shard's queue; the shard's
-/// pump coalesces queued requests into batches (in the queue's priority
-/// order when SchedulerOptions::priority is on) and serves each batch with
-/// one per-query-config engine call (NaiEngine::InferMixed), so traffic
+/// One RequestQueue and one ResultCache, drained by one pump thread per
+/// shard engine (every shard engine serves the whole snapshot, so any
+/// engine answers any node). Each pump coalesces queued requests into
+/// batches with its own DynamicBatcher (in the queue's priority order when
+/// SchedulerOptions::priority is on) and serves each batch on its engine
+/// with one per-query-config call (NaiEngine::InferMixed), so traffic
 /// classes co-exist in a batch yet are each served with their own
-/// InferenceConfig. Completion fulfils the request's future and invokes
-/// its callback on the serving pump thread.
+/// InferenceConfig. An idle pump takes the oldest work at once, so the
+/// engines share the load however it falls on the graph. Completion
+/// fulfils the request's future and invokes its callback on the serving
+/// pump thread.
 ///
 /// Scheduling (see SchedulerOptions):
-///   * priority — speed-first bypasses queued accuracy-first work inside a
-///     shard queue, aging-bounded so the bypassed class cannot starve;
-///   * stealing — a pump whose queue stays empty for steal_poll_us scans
-///     the sibling queues, steals a whole coalesced batch from the most
-///     backlogged one and serves it on its own engine (every shard engine
-///     serves the whole snapshot, so any engine answers any node);
-///   * admission control — per-shard arrival/service EWMAs retune every
-///     batcher's coalescing window and shed TrySubmits whose predicted
-///     queue delay already exceeds their deadline budget.
+///   * priority — speed-first bypasses queued accuracy-first work,
+///     aging-bounded so the bypassed class cannot starve;
+///   * admission control — arrival/service EWMAs retune every batcher's
+///     coalescing window and shed TrySubmits whose predicted queue delay
+///     already exceeds their deadline budget.
 ///
 /// Determinism: a request's prediction and exit depth are per-node
 /// quantities of its resolved config — bit-identical to a direct
 /// (Sharded)NaiEngine::Infer of the same node under that config, no matter
 /// how requests were batched, interleaved with other traffic, bypassed by
-/// a higher class, or stolen across shards.
+/// a higher class, or which engine served them.
 ///
-/// Shutdown is graceful: queues close (new submissions are rejected), every
-/// admitted request is still served, pumps drain and join. The destructor
-/// calls Shutdown(). The wrapped engine must outlive this object, and
-/// direct Infer calls on it must not overlap in-flight requests (the shard
-/// engines' samplers are not thread-safe).
+/// Shutdown is graceful: the queue closes (new submissions are rejected),
+/// every admitted request is still served, pumps drain and join. The
+/// destructor calls Shutdown(). The wrapped engine must outlive this
+/// object, and direct Infer calls on it must not overlap in-flight requests
+/// (the shard engines' samplers are not thread-safe).
 class ServingEngine {
  public:
   /// Latency samples retained per QoS class for the percentile window.
@@ -212,7 +207,7 @@ class ServingEngine {
   std::future<Response> Submit(std::int32_t node, QosClass qos,
                                double deadline_ms = 0.0);
 
-  /// Non-blocking admission: nullopt when the shard queue is full, the
+  /// Non-blocking admission: nullopt when the queue is full, the
   /// admission controller predicts the request would miss its deadline in
   /// the queue (shed load upstream), or the engine is shut down. A cache
   /// hit is consulted *before* admission, so a warm node can never be shed.
@@ -237,14 +232,16 @@ class ServingEngine {
   /// and bump are visible; it carries the new version and the builder's
   /// incremental accounting (or the builder's exception on an invalid
   /// delta, in which case the serving state is unchanged). Calls
-  /// serialize: a new call first waits out the previous apply.
+  /// serialize: a new call first waits out the previous apply. After
+  /// Shutdown the future carries a std::runtime_error and the engine is
+  /// left untouched.
   std::future<DeltaApplyReport> ApplyDeltas(graph::GraphDelta delta);
 
   /// Closes admission, serves everything already queued, joins the pump
   /// threads (and any in-flight ApplyDeltas ingest thread). Idempotent.
   void Shutdown();
 
-  /// Advances every shard cache's epoch, logically emptying them in O(1).
+  /// Advances the cache's epoch, logically emptying it in O(1).
   /// Call after mutating the wrapped engine's graph/model state (features,
   /// classifier bank, gates) so no stale result is ever replayed; in-flight
   /// batches computed under the old epoch will not fill (see
@@ -262,64 +259,53 @@ class ServingEngine {
 
   Request MakeRequest(std::int32_t node, QosClass qos, double deadline_ms);
   double BudgetMs(QosClass qos, double deadline_ms) const;
-  std::size_t ShardFor(std::int32_t node) const;
+  /// Throws std::out_of_range for a node outside the served graph.
+  void CheckNode(std::int32_t node) const;
   /// The pre-admission cache probe shared by every submit entry point:
-  /// returns the inline Response for a current-epoch hit on `shard`'s
-  /// cache, nullopt on miss / cache disabled / shard shut down. A hit is
-  /// counted as submitted + completed (never as an arrival — it carries no
-  /// information about the queue/batch process the controller models).
-  std::optional<Response> TryServeFromCache(std::size_t shard,
-                                            std::int32_t node, QosClass qos,
+  /// returns the inline Response for a current-epoch hit, nullopt on miss
+  /// / cache disabled / shut down. A hit is counted as submitted +
+  /// completed (never as an arrival — it carries no information about the
+  /// queue/batch process the controller models).
+  std::optional<Response> TryServeFromCache(std::int32_t node, QosClass qos,
                                             double deadline_ms);
   void Complete(Request& request, Response response);
   void Reject(Request& request);
-  void PumpShard(std::size_t shard);
-  /// Serves `batch` on `engine_shard`'s engine (owner path: the shard the
-  /// requests were queued at; steal path: the thief). Handles
-  /// drop_expired, stats, cache fills, engine errors and completion.
-  /// `state` is the pinned engine state the whole batch runs against — the
-  /// caller pins it once per batch, which is what makes a snapshot swap
-  /// land atomically between batches. `applied_wait_us` is the coalescing
-  /// window the batch actually formed under (-1 for stolen batches),
-  /// forwarded into the adaptation trace.
+  /// The loop of the pump that owns shard engine `engine`: batches from
+  /// the queue through `batcher` and serves them until the queue is closed
+  /// and drained. Each pump is the only serving caller of its engine.
+  void Pump(DynamicBatcher& batcher, std::size_t engine);
+  /// Serves `batch` on shard engine `engine`. Handles drop_expired, stats,
+  /// cache fills, engine errors and completion. `state` is the pinned
+  /// engine state the whole batch runs against — the caller pins it once
+  /// per batch, which is what makes a snapshot swap land atomically
+  /// between batches. `applied_wait_us` is the coalescing window the batch
+  /// actually formed under, forwarded into the adaptation trace.
   void ServeBatch(
       const std::shared_ptr<const core::ShardedNaiEngine::ShardState>& state,
-      std::size_t engine_shard, std::vector<Request> batch,
+      std::size_t engine, std::vector<Request> batch,
       std::int64_t applied_wait_us);
-  /// One steal attempt by `thief`: drains a coalesced batch from the most
-  /// backlogged sibling queue and serves it on the thief's engine. True
-  /// when anything was stolen.
-  bool TrySteal(std::size_t thief);
 
   core::ShardedNaiEngine* engine_;
   QosPolicyTable policies_;
   ServingOptions options_;
 
-  /// Indexed by shard id; nullptr for shards that own no nodes (routing can
-  /// never target them). Batchers are built in the constructor so a
-  /// degenerate BatcherConfig throws to the caller, not on a pump thread.
-  std::vector<std::unique_ptr<RequestQueue>> queues_;
-  std::vector<std::unique_ptr<DynamicBatcher>> batchers_;
-  /// Serializes calls into each shard's engine. Only the shard's own pump
-  /// drives its engine, so the lock is uncontended; it guards the engine's
-  /// sampler scratch should that ever change. One lock per engine call,
-  /// never nested.
-  std::vector<std::unique_ptr<std::mutex>> engine_mu_;
-  /// Per-owning-shard result caches (nullptr for non-owning shards or when
-  /// ServingOptions::cache.enabled is false). Client threads probe them in
-  /// the submit path; pump threads fill them at batch completion.
-  std::vector<std::unique_ptr<ResultCache>> caches_;
+  std::unique_ptr<RequestQueue> queue_;
+  /// nullptr when ServingOptions::cache.enabled is false. Client threads
+  /// probe it in the submit path; pump threads fill it at batch completion.
+  std::unique_ptr<ResultCache> cache_;
   std::unique_ptr<AdmissionController> controller_;
+  /// One per pump. Built in the constructor so a degenerate BatcherConfig
+  /// throws to the caller, not on a pump thread.
+  std::vector<std::unique_ptr<DynamicBatcher>> batchers_;
   std::vector<std::thread> pumps_;
 
-  std::mutex shutdown_mu_;
-  bool shut_down_ = false;
-
-  /// The ApplyDeltas ingest thread. At most one is alive: ApplyDeltas joins
-  /// the previous one (under ingest_mu_) before spawning the next, which
-  /// both bounds resources and serializes applies without a long-held lock;
-  /// Shutdown joins whatever is left.
+  /// Guards shut_down_ and the ApplyDeltas ingest thread. At most one
+  /// ingest thread is alive: ApplyDeltas joins the previous one before
+  /// spawning the next, which both bounds resources and serializes applies
+  /// without a long-held lock; Shutdown joins whatever is left, and no
+  /// ApplyDeltas spawns one after it.
   std::mutex ingest_mu_;
+  bool shut_down_ = false;
   std::thread ingest_;
 
   std::unique_ptr<Counters> stats_;

@@ -366,10 +366,10 @@ TEST(ShardedInferenceTest, MismatchedShardingRejected) {
 }
 
 TEST(ShardedInferenceTest, AnyShardEngineServesAnyNodeBitExactly) {
-  // The property work stealing rests on: every shard engine serves the
-  // whole snapshot, so a thief answers any node — owned by any shard —
-  // bit-identically to the routed owner path, predictions and exit depths
-  // alike.
+  // The property the serving front-end rests on: every shard engine serves
+  // the whole snapshot, so the pump that pops a request answers it — for a
+  // node owned by any shard — bit-identically to the routed owner path,
+  // predictions and exit depths alike.
   auto w = MakeSmallWorld(kDepth);
   ShardedNaiEngine sharded = MakeTestShardedEngine(w, 4);
   InferenceConfig cfg;

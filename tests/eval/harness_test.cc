@@ -248,9 +248,8 @@ TEST_F(HarnessTest, RunServingOpenLoopPacesAndReportsOfferedLoad) {
   EXPECT_GT(report.duration_ms, 10.0);
 }
 
-TEST_F(HarnessTest, RunServingSkewedBurstyLoadStaysBitExact) {
-  // skew_by_shard phases all arrivals through one shard at a time and the
-  // on/off bursts modulate the Poisson clock — neither may change a
+TEST_F(HarnessTest, RunServingBurstyLoadStaysBitExact) {
+  // The on/off bursts modulate the Poisson clock — that may not change a
   // prediction, and every request is still accounted for.
   auto sharded = MakeShardedEngine(*pipeline_, *ds_, 2);
   const serve::QosPolicyTable table =
@@ -264,7 +263,6 @@ TEST_F(HarnessTest, RunServingSkewedBurstyLoadStaysBitExact) {
   ServingLoadConfig load;
   load.arrival_rate_qps = 2000.0;
   load.speed_first_fraction = 1.0;
-  load.skew_by_shard = true;
   load.burst_on_ms = 5.0;
   load.burst_off_ms = 5.0;
   const ServingRunReport report = RunServing(server, nodes, load);
@@ -276,8 +274,7 @@ TEST_F(HarnessTest, RunServingSkewedBurstyLoadStaysBitExact) {
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     if (report.predictions[i] < 0) continue;  // shed under burst overload
     ++served;
-    // predictions[i] still answers nodes[i] (= test_nodes[i]) even though
-    // the submission order was shard-sorted.
+    // predictions[i] answers nodes[i] (= test_nodes[i]).
     EXPECT_EQ(report.predictions[i], ref_speed.predictions[i])
         << "node index " << i;
   }

@@ -1,6 +1,7 @@
 // RequestQueue contract: bounded capacity with non-blocking backpressure,
-// FIFO order, close semantics (pushes fail, pops drain), and MPMC safety —
-// the contention tests run under TSan in scripts/check.sh.
+// FIFO order, close semantics (pushes fail, pops drain), and MPMC safety,
+// also with several batchers draining one queue — the contention tests run
+// under TSan in scripts/check.sh.
 
 #include "src/serve/request_queue.h"
 
@@ -8,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <set>
 #include <stdexcept>
@@ -15,6 +17,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "src/serve/batcher.h"
 
 namespace nai::serve {
 namespace {
@@ -188,24 +191,22 @@ TEST(RequestQueueTest, PromiseSurvivesQueuePassage) {
   EXPECT_EQ(fut.get().prediction, 3);
 }
 
-TEST(RequestQueueTest, CloseThenDrainRacedWithStealingLosesNothing) {
-  // The shutdown/steal race of the serving front-end: while producers are
-  // still pushing, Close() lands concurrently with pump-style Pop() drains
-  // AND thief-style TryPopBatch() bulk grabs. Contract: every request that
-  // was admitted (its push returned true) is popped by exactly one
-  // consumer — no loss, no duplication — and everything settles once the
-  // queue reports drained. Runs under TSan in scripts/check.sh.
+TEST(RequestQueueTest, CloseThenDrainRacedWithNBatchersLosesNothing) {
+  // The shutdown race of the serving front-end: while producers are still
+  // pushing, Close() lands concurrently with several pumps' batchers
+  // draining the one queue, each holding its coalescing window open.
+  // Contract: every request that was admitted (its push returned true) is
+  // batched by exactly one batcher — no loss, no duplication — and every
+  // batcher exits once the queue reports drained. Runs under TSan in
+  // scripts/check.sh.
   constexpr int kProducers = 3;
   constexpr int kPerProducer = 400;
-  constexpr int kPoppers = 2;
-  constexpr int kThieves = 2;
+  constexpr int kBatchers = 3;
   RequestQueue q(64);
 
-  std::array<std::array<std::atomic<int>, kProducers * kPerProducer>, 1>
-      popped_count{};
+  std::array<std::atomic<int>, kProducers * kPerProducer> popped_count{};
   std::atomic<std::int64_t> admitted{0};
   std::atomic<std::int64_t> drained{0};
-  std::atomic<bool> producers_done{false};
 
   std::vector<std::thread> threads;
   for (int p = 0; p < kProducers; ++p) {
@@ -223,27 +224,18 @@ TEST(RequestQueueTest, CloseThenDrainRacedWithStealingLosesNothing) {
       }
     });
   }
-  for (int c = 0; c < kPoppers; ++c) {
-    threads.emplace_back([&] {
-      while (true) {
-        std::optional<Request> r = q.Pop();
-        if (!r.has_value()) return;  // closed and drained
-        popped_count[0][static_cast<std::size_t>(r->id)].fetch_add(
-            1, std::memory_order_relaxed);
-        drained.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
+  std::vector<std::unique_ptr<DynamicBatcher>> batchers;
+  for (int b = 0; b < kBatchers; ++b) {
+    batchers.push_back(std::make_unique<DynamicBatcher>(
+        q, BatcherConfig{/*max_batch=*/8, /*max_wait_us=*/100}));
   }
-  for (int t = 0; t < kThieves; ++t) {
-    threads.emplace_back([&] {
-      while (!q.drained()) {
-        std::vector<Request> batch = q.TryPopBatch(8);
-        if (batch.empty()) {
-          std::this_thread::yield();
-          continue;
-        }
+  for (int b = 0; b < kBatchers; ++b) {
+    threads.emplace_back([&, b] {
+      while (true) {
+        const std::vector<Request> batch = batchers[b]->NextBatch();
+        if (batch.empty()) return;  // closed and drained
         for (const Request& r : batch) {
-          popped_count[0][static_cast<std::size_t>(r.id)].fetch_add(
+          popped_count[static_cast<std::size_t>(r.id)].fetch_add(
               1, std::memory_order_relaxed);
           drained.fetch_add(1, std::memory_order_relaxed);
         }
@@ -259,9 +251,9 @@ TEST(RequestQueueTest, CloseThenDrainRacedWithStealingLosesNothing) {
   EXPECT_TRUE(q.drained());
   EXPECT_EQ(q.size(), 0u);
   EXPECT_EQ(drained.load(), admitted.load());  // no admitted request lost
-  for (std::size_t id = 0; id < popped_count[0].size(); ++id) {
-    EXPECT_LE(popped_count[0][id].load(), 1) << "request " << id
-                                             << " popped twice";
+  for (std::size_t id = 0; id < popped_count.size(); ++id) {
+    EXPECT_LE(popped_count[id].load(), 1) << "request " << id
+                                          << " batched twice";
   }
   // The close landed mid-stream: with 5ms of runway and a 64-slot queue at
   // least something must have been admitted, or the race never happened.

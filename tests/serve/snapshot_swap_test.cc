@@ -146,7 +146,26 @@ TEST(SnapshotSwapTest, InvalidDeltaSurfacesThroughFutureAndKeepsServing) {
   EXPECT_TRUE(server.Submit(3, QosClass::kSpeedFirst).get().served);
 }
 
-// Satellite 1: the serving epoch is stamped into the completion path and
+// An apply that arrives after Shutdown fails its future and leaves the
+// engine alone: no ingest thread outlives the server, and no swap lands on
+// a server that no longer serves.
+TEST(SnapshotSwapTest, ApplyDeltasAfterShutdownFailsItsFuture) {
+  SmallWorld& w = World();
+  auto base = BaseSnapshot();
+  core::ShardedNaiEngine engine(base, graph::MakeShards(base->adj(), 2),
+                                *w.classifiers, nullptr);
+  {
+    ServingEngine server(engine, MakePolicies());
+    server.Shutdown();
+    EXPECT_THROW(server.ApplyDeltas(ChurnDelta(*base)).get(),
+                 std::runtime_error);
+    EXPECT_EQ(server.Stats().snapshot_swaps, 0);
+  }  // destroying the server must not meet an unjoined thread
+  EXPECT_EQ(engine.version(), 0u);
+  EXPECT_EQ(engine.PinState()->snapshot, base);
+}
+
+// The serving epoch is stamped into the completion path and
 // exposed in the stats snapshot, so staleness is measurable.
 TEST(SnapshotSwapTest, EpochStampedInResponsesAndStats) {
   SmallWorld& w = World();
@@ -176,9 +195,7 @@ TEST(SnapshotSwapTest, ConcurrentQueriesAcrossSwapsStaySafe) {
   auto base = BaseSnapshot();
   core::ShardedNaiEngine engine(base, graph::MakeShards(base->adj(), 2),
                                 *w.classifiers, nullptr);
-  ServingOptions options;
-  options.scheduler.stealing = true;
-  ServingEngine server(engine, MakePolicies(), options);
+  ServingEngine server(engine, MakePolicies());
 
   constexpr int kSwaps = 3;
   std::atomic<bool> stop{false};
