@@ -1,7 +1,9 @@
 // Kernel A/B benchmark: the dispatched numerical primitives the inference
 // engine is built from — dense MatMul / MatMulTransposeB, sparse SpMM, the
-// INT8 classifier GEMM, and axpy — timed at every supported SIMD level
-// against the scalar reference on the same operands. Reports GFLOP/s (or
+// INT8 classifier GEMM, and axpy — plus the training products of one
+// classifier-head step (MatMul, MatMulTransposeB, MatMulTransposeA), timed
+// at every supported SIMD level against the scalar reference on the same
+// operands. Reports GFLOP/s (or
 // GOP/s for the integer kernel) per level and the best-level speedup.
 //
 // On a vector host (BestSupportedLevel() != scalar) the MatMul speedup must
@@ -97,7 +99,7 @@ AbRow RunAb(const std::string& name, double flops, Fn&& fn) {
 void PrintRow(const AbRow& row) {
   const std::vector<tensor::simd::Level> levels =
       tensor::simd::SupportedLevels();
-  std::printf("  %-28s", row.name.c_str());
+  std::printf("  %-34s", row.name.c_str());
   for (std::size_t i = 0; i < levels.size(); ++i) {
     std::printf("  %s %8.2f", tensor::simd::LevelName(levels[i]),
                 row.gflops[i]);
@@ -197,6 +199,37 @@ int main(int argc, char** argv) {
       asm volatile("" : : "r"(dst.data()) : "memory");
     }));
     PrintRow(rows.back());
+  }
+
+  // Training shapes of one SGC head step (10,800 rows, 64 features, a
+  // 64-wide hidden layer, 20 classes): the forward products over dense
+  // features and over ReLU-sparse hidden activations, the hidden-layer
+  // input gradient (A * B^T) and both weight gradients (A^T * B).
+  {
+    const std::size_t batch = 10800, f = 64, h = 64, c = 20;
+    tensor::Matrix x(batch, f), hidden(batch, h), dy(batch, c), dh(batch, h);
+    tensor::Matrix w0(f, h), w1(h, c);
+    for (tensor::Matrix* m : {&x, &hidden, &dy, &dh, &w0, &w1}) {
+      tensor::FillGaussian(*m, 1.0f, rng);
+    }
+    tensor::ReluInPlace(hidden);
+    const auto add = [&](const std::string& name, double flops, auto fn) {
+      rows.push_back(RunAb(name, flops, [&] {
+        tensor::Matrix out = fn();
+        asm volatile("" : : "r"(out.data()) : "memory");
+      }));
+      PrintRow(rows.back());
+    };
+    add("MatMul 10800x64x64 train", 2.0 * batch * f * h,
+        [&] { return tensor::MatMul(x, w0); });
+    add("MatMul 10800x64x20 relu", 2.0 * batch * h * c,
+        [&] { return tensor::MatMul(hidden, w1); });
+    add("MatMulTransposeB 10800x20x64", 2.0 * batch * c * h,
+        [&] { return tensor::MatMulTransposeB(dy, w1); });
+    add("MatMulTransposeA 10800x64x64", 2.0 * batch * f * h,
+        [&] { return tensor::MatMulTransposeA(x, dh); });
+    add("MatMulTransposeA 10800x64x20 relu", 2.0 * batch * h * c,
+        [&] { return tensor::MatMulTransposeA(hidden, dy); });
   }
 
   tensor::simd::SetActiveLevelForTesting(best);

@@ -102,14 +102,15 @@ stage_asan() {
   cmake --build "${BUILD_DIR}" -j "${JOBS}"
   ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "${JOBS}"
   # Serial-path pass: the same parallel-sensitive suites with a 1-thread
-  # pool (the sharded engine then runs one worker per shard pool), once per
-  # SIMD dispatch level — NAI_SIMD=scalar pins the reference kernels, the
-  # unset run takes the host's best vector path — so sanitizers sweep both
-  # sides of every kernel dispatch.
+  # pool (the sharded engine then runs one worker per shard pool), plus the
+  # training suites (nn/, core/distillation), once per SIMD dispatch level
+  # — NAI_SIMD=scalar pins the reference kernels, the unset run takes the
+  # host's best vector path — so sanitizers sweep both sides of every
+  # kernel dispatch, the masked tile tails of the training shapes included.
   for simd in scalar ""; do
     NAI_SIMD="${simd}" NAI_THREADS=1 ctest --test-dir "${BUILD_DIR}" \
       --output-on-failure -j "${JOBS}" \
-      -R 'runtime/|tensor/ops|tensor/kernel_parity|tensor/simd_dispatch|graph/csr|graph/shard|graph/delta|core/inference|core/sharded|serve/|storage/|integration/algorithm1'
+      -R 'runtime/|tensor/ops|tensor/kernel_parity|tensor/simd_dispatch|graph/csr|graph/shard|graph/delta|nn/|core/distillation|core/inference|core/sharded|serve/|storage/|integration/algorithm1'
   done
 }
 

@@ -53,7 +53,7 @@ void Glnn::Train(const tensor::Matrix& features,
       for (std::size_t j = 0; j < logits.cols(); ++j) g[j] += w * p[j];
       g[labels[i]] -= w;
     }
-    mlp_.Backward(grad);
+    mlp_.Backward(grad, /*input_grad=*/false);
     adam.Step();
   }
 }

@@ -71,7 +71,7 @@ void Nosmog::Train(const graph::Graph& train_graph,
       for (std::size_t j = 0; j < logits.cols(); ++j) g[j] += w * p[j];
       g[labels[i]] -= w;
     }
-    mlp_.Backward(grad);
+    mlp_.Backward(grad, /*input_grad=*/false);
     adam.Step();
   }
 }

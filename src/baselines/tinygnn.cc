@@ -180,7 +180,8 @@ void TinyGnn::Train(const graph::Graph& train_graph,
       g[labels[i]] -= w;
     }
 
-    const tensor::Matrix grad_input = mlp_.Backward(grad);
+    const tensor::Matrix grad_input =
+        mlp_.Backward(grad, /*input_grad=*/true);
     // Split the input gradient: columns [f, f+d) feed the attention module.
     tensor::Matrix grad_h(n, config_.attention_dim);
     for (std::size_t i = 0; i < n; ++i) {

@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <string>
 
 #include "src/nn/adam.h"
 #include "src/nn/loss.h"
+#include "src/runtime/error.h"
 #include "src/tensor/ops.h"
 
 namespace nai::core {
@@ -41,7 +43,16 @@ nn::LossResult MaskedSoftmaxCrossEntropy(
 
 InceptionDistillation::InceptionDistillation(ClassifierStack& classifiers,
                                              const DistillConfig& config)
-    : classifiers_(classifiers), config_(config) {}
+    : classifiers_(classifiers), config_(config) {
+  // Softmax(z / T) and the T^2 loss weight divide by T.
+  for (const float t : {config.temperature_single, config.temperature_multi}) {
+    if (!(std::isfinite(t) && t > 0.0f)) {
+      throw ValidationError(
+          "InceptionDistillation: temperatures must be finite and > 0, got " +
+          std::to_string(t));
+    }
+  }
+}
 
 float InceptionDistillation::TrainHeadPlain(
     int l, const GatheredStack& train_feats,

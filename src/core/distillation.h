@@ -39,6 +39,7 @@ struct DistillConfig {
 /// (hard supervision); every row participates as V_train in the KD terms.
 class InceptionDistillation {
  public:
+  /// Throws ValidationError unless both temperatures are finite and > 0.
   InceptionDistillation(ClassifierStack& classifiers,
                         const DistillConfig& config);
 

@@ -19,7 +19,8 @@ tensor::Matrix GamlpHead::Forward(const FeatureViews& views, bool train,
 }
 
 void GamlpHead::Backward(const tensor::Matrix& grad_logits) {
-  const tensor::Matrix grad_combined = mlp_.Backward(grad_logits);
+  const tensor::Matrix grad_combined =
+      mlp_.Backward(grad_logits, /*input_grad=*/true);
   // Views are precomputed propagated features (constants), so their
   // gradients are not needed.
   attention_.Backward(grad_combined, nullptr);

@@ -20,7 +20,7 @@ tensor::Matrix S2gcHead::Forward(const FeatureViews& views, bool train,
 }
 
 void S2gcHead::Backward(const tensor::Matrix& grad_logits) {
-  mlp_.Backward(grad_logits);
+  mlp_.Backward(grad_logits, /*input_grad=*/false);
 }
 
 void S2gcHead::CollectParameters(std::vector<nn::Parameter*>& params) {

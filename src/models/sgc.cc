@@ -16,7 +16,7 @@ tensor::Matrix SgcHead::Forward(const FeatureViews& views, bool train,
 }
 
 void SgcHead::Backward(const tensor::Matrix& grad_logits) {
-  mlp_.Backward(grad_logits);
+  mlp_.Backward(grad_logits, /*input_grad=*/false);
 }
 
 void SgcHead::CollectParameters(std::vector<nn::Parameter*>& params) {

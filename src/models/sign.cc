@@ -19,7 +19,7 @@ tensor::Matrix SignHead::Forward(const FeatureViews& views, bool train,
 }
 
 void SignHead::Backward(const tensor::Matrix& grad_logits) {
-  mlp_.Backward(grad_logits);
+  mlp_.Backward(grad_logits, /*input_grad=*/false);
 }
 
 void SignHead::CollectParameters(std::vector<nn::Parameter*>& params) {

@@ -20,13 +20,15 @@ tensor::Matrix Linear::Forward(const tensor::Matrix& x, bool train) {
   return y;
 }
 
-tensor::Matrix Linear::Backward(const tensor::Matrix& grad_out) {
+tensor::Matrix Linear::Backward(const tensor::Matrix& grad_out,
+                                bool input_grad) {
   assert(grad_out.cols() == out_dim());
   assert(cached_input_.rows() == grad_out.rows() &&
          "Backward without matching Forward(train=true)");
   tensor::AddInPlace(weight_.grad,
                      tensor::MatMulTransposeA(cached_input_, grad_out));
   tensor::AddInPlace(bias_.grad, tensor::ColumnSums(grad_out));
+  if (!input_grad) return tensor::Matrix();
   return tensor::MatMulTransposeB(grad_out, weight_.value);
 }
 

@@ -21,9 +21,11 @@ class Linear {
   /// Forward pass. When `train` is true the input is cached for Backward.
   tensor::Matrix Forward(const tensor::Matrix& x, bool train);
 
-  /// Backward pass: accumulates dW, db from `grad_out` and the cached input;
-  /// returns grad w.r.t. the input. Must follow a Forward(train=true).
-  tensor::Matrix Backward(const tensor::Matrix& grad_out);
+  /// Backward pass: accumulates dW, db from `grad_out` and the cached input.
+  /// With `input_grad` returns the gradient w.r.t. the input; without it
+  /// skips that product and returns an empty matrix (a first layer over
+  /// constant features). Must follow a Forward(train=true).
+  tensor::Matrix Backward(const tensor::Matrix& grad_out, bool input_grad);
 
   std::size_t in_dim() const { return weight_.value.rows(); }
   std::size_t out_dim() const { return weight_.value.cols(); }

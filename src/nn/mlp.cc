@@ -1,7 +1,9 @@
 #include "src/nn/mlp.h"
 
 #include <cassert>
+#include <string>
 
+#include "src/runtime/error.h"
 #include "src/tensor/ops.h"
 
 namespace nai::nn {
@@ -9,6 +11,10 @@ namespace nai::nn {
 Mlp::Mlp(std::size_t in_dim, const std::vector<std::size_t>& hidden_dims,
          std::size_t out_dim, float dropout_rate, tensor::Rng& rng)
     : dropout_rate_(dropout_rate) {
+  if (!(dropout_rate >= 0.0f && dropout_rate < 1.0f)) {
+    throw ValidationError("Mlp: dropout rate must be in [0, 1), got " +
+                          std::to_string(dropout_rate));
+  }
   std::size_t prev = in_dim;
   for (const std::size_t h : hidden_dims) {
     layers_.emplace_back(prev, h, rng);
@@ -30,8 +36,7 @@ tensor::Matrix Mlp::Forward(const tensor::Matrix& x, bool train,
     tensor::ReluInPlace(h);
     if (train && dropout_rate_ > 0.0f) {
       assert(rng != nullptr && "dropout in train mode requires an Rng");
-      tensor::DropoutInPlace(h, dropout_rate_, dropout_mask_[l - 1],
-                             [rng] { return rng->NextFloat(); });
+      tensor::DropoutInPlace(h, dropout_rate_, dropout_mask_[l - 1], *rng);
     } else if (train) {
       dropout_mask_[l - 1].Resize(h.rows(), h.cols());
       dropout_mask_[l - 1].Fill(1.0f);
@@ -41,17 +46,20 @@ tensor::Matrix Mlp::Forward(const tensor::Matrix& x, bool train,
   return h;
 }
 
-tensor::Matrix Mlp::Backward(const tensor::Matrix& grad_logits) {
-  tensor::Matrix grad = layers_.back().Backward(grad_logits);
+tensor::Matrix Mlp::Backward(const tensor::Matrix& grad_logits,
+                             bool input_grad) {
+  // Layer l needs its input gradient whenever a layer below it consumes it.
+  tensor::Matrix grad =
+      layers_.back().Backward(grad_logits, layers_.size() > 1 || input_grad);
   for (std::size_t l = layers_.size() - 1; l-- > 0;) {
     // Undo dropout then ReLU, in the reverse of the forward order.
-    if (dropout_rate_ >= 0.0f && !dropout_mask_[l].empty()) {
+    if (!dropout_mask_[l].empty()) {
       float* g = grad.data();
       const float* m = dropout_mask_[l].data();
       for (std::size_t i = 0; i < grad.size(); ++i) g[i] *= m[i];
     }
     tensor::ReluBackwardInPlace(preact_[l], grad);
-    grad = layers_[l].Backward(grad);
+    grad = layers_[l].Backward(grad, l > 0 || input_grad);
   }
   return grad;
 }

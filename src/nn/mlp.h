@@ -19,7 +19,9 @@ class Mlp {
  public:
   Mlp() = default;
 
-  /// `dims` path is in_dim -> hidden_dims... -> out_dim.
+  /// `dims` path is in_dim -> hidden_dims... -> out_dim. Throws
+  /// ValidationError unless 0 <= dropout_rate < 1 (a rate of 1 would zero
+  /// every hidden activation).
   Mlp(std::size_t in_dim, const std::vector<std::size_t>& hidden_dims,
       std::size_t out_dim, float dropout_rate, tensor::Rng& rng);
 
@@ -28,9 +30,11 @@ class Mlp {
   tensor::Matrix Forward(const tensor::Matrix& x, bool train,
                          tensor::Rng* rng = nullptr);
 
-  /// Backward from dLoss/dLogits; accumulates parameter grads, returns
-  /// dLoss/dInput.
-  tensor::Matrix Backward(const tensor::Matrix& grad_logits);
+  /// Backward from dLoss/dLogits; accumulates parameter grads. With
+  /// `input_grad` returns dLoss/dInput; without it the first layer skips
+  /// that product and an empty matrix is returned (the input is a
+  /// constant, e.g. precomputed propagated features).
+  tensor::Matrix Backward(const tensor::Matrix& grad_logits, bool input_grad);
 
   void CollectParameters(std::vector<Parameter*>& params);
 

@@ -1,6 +1,7 @@
 #include "src/tensor/ops.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <limits>
@@ -40,20 +41,10 @@ Matrix MatMulTransposeA(const Matrix& a, const Matrix& b) {
   assert(a.rows() == b.rows());
   const std::size_t k = a.rows(), m = a.cols(), n = b.cols();
   Matrix out(m, n);
-  // Serial over k to keep writes race-free; parallelize over output rows by
-  // accumulating into thread-local strips would cost memory; the matrices
-  // here (gradient accumulations, f x c) are small, so a single pass is fine.
-  // Each row update is the dispatched axpy, bit-exact at every level.
-  const simd::KernelSet& ks = simd::ActiveKernels();
-  for (std::size_t p = 0; p < k; ++p) {
-    const float* arow = a.row(p);
-    const float* brow = b.row(p);
-    for (std::size_t i = 0; i < m; ++i) {
-      const float av = arow[i];
-      if (av == 0.0f) continue;
-      ks.axpy(av, brow, out.row(i), n);
-    }
-  }
+  // One dispatched call over the whole product (the training shapes are
+  // tall: k = rows of a batch, m x n = a weight gradient), bit-exact at
+  // every level; see simd::KernelSet::matmul_ta.
+  simd::ActiveKernels().matmul_ta(a.data(), b.data(), out.data(), k, m, n);
   return out;
 }
 
@@ -104,8 +95,9 @@ void ReluBackwardInPlace(const Matrix& z, Matrix& grad) {
   assert(z.SameShape(grad));
   const float* zp = z.data();
   float* gp = grad.data();
+  // A select, not a branch: ReLU pre-activations are zero half the time.
   for (std::size_t i = 0; i < z.size(); ++i) {
-    if (zp[i] <= 0.0f) gp[i] = 0.0f;
+    gp[i] = zp[i] <= 0.0f ? 0.0f : gp[i];
   }
 }
 
@@ -258,8 +250,7 @@ float FrobeniusNorm(const Matrix& m) {
   return static_cast<float>(std::sqrt(acc));
 }
 
-void DropoutInPlace(Matrix& m, float rate, Matrix& mask,
-                    const std::function<float()>& uniform01) {
+void DropoutInPlace(Matrix& m, float rate, Matrix& mask, Rng& rng) {
   mask.Resize(m.rows(), m.cols());
   if (rate <= 0.0f) {
     mask.Fill(1.0f);
@@ -269,14 +260,17 @@ void DropoutInPlace(Matrix& m, float rate, Matrix& mask,
   const float keep_scale = 1.0f / (1.0f - rate);
   float* d = m.data();
   float* mk = mask.data();
+  // The draws first (one per entry, in index order), then one branch-free
+  // pass that turns each into its multiplier: a branch on a coin flip
+  // mispredicts on every other draw. A dropped entry is masked to +0 by its
+  // bits, so the pass vectorizes without speculating a conditional multiply.
+  for (std::size_t i = 0; i < m.size(); ++i) mk[i] = rng.NextFloat();
+  const std::uint32_t scale_bits = std::bit_cast<std::uint32_t>(keep_scale);
   for (std::size_t i = 0; i < m.size(); ++i) {
-    if (uniform01() < rate) {
-      mk[i] = 0.0f;
-      d[i] = 0.0f;
-    } else {
-      mk[i] = keep_scale;
-      d[i] *= keep_scale;
-    }
+    const std::uint32_t keep = mk[i] < rate ? 0u : ~0u;
+    const float scaled = d[i] * keep_scale;
+    d[i] = std::bit_cast<float>(std::bit_cast<std::uint32_t>(scaled) & keep);
+    mk[i] = std::bit_cast<float>(scale_bits & keep);
   }
 }
 

@@ -2,11 +2,11 @@
 #define NAI_TENSOR_OPS_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "src/runtime/exec_context.h"
 #include "src/tensor/matrix.h"
+#include "src/tensor/random.h"
 
 namespace nai::tensor {
 
@@ -20,7 +20,8 @@ Matrix MatMul(const Matrix& a, const Matrix& b,
 Matrix MatMulTransposeB(const Matrix& a, const Matrix& b,
                         const runtime::ExecContext& ctx = {});
 
-/// out = a^T * b. Shapes: (k x m)^T * (k x n) -> (m x n).
+/// out = a^T * b. Shapes: (k x m)^T * (k x n) -> (m x n). Runs on the
+/// calling thread; bit-exact at every SIMD level.
 Matrix MatMulTransposeA(const Matrix& a, const Matrix& b);
 
 /// dst += src (elementwise). Shapes must match.
@@ -84,9 +85,9 @@ float FrobeniusNorm(const Matrix& m);
 /// Dropout forward: zeroes each entry with probability `rate` and rescales
 /// survivors by 1/(1-rate). `mask` receives the kept/rescale multipliers so
 /// the caller can replay the same mask in the backward pass. `rate` = 0 is a
-/// no-op. Uses the caller's uniform sampler for determinism.
-void DropoutInPlace(Matrix& m, float rate, Matrix& mask,
-                    const std::function<float()>& uniform01);
+/// no-op. Draws one rng.NextFloat() per entry in row-major order (entry i
+/// is dropped when its draw is < rate), so a seeded Rng fixes the mask.
+void DropoutInPlace(Matrix& m, float rate, Matrix& mask, Rng& rng);
 
 }  // namespace nai::tensor
 

@@ -15,28 +15,12 @@ std::uint64_t SplitMix64(std::uint64_t& state) {
   return z ^ (z >> 31);
 }
 
-std::uint64_t Rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
   // Seed the four xoshiro words from splitmix64, per the reference
   // implementation's recommendation, so that seed=0 is safe.
   for (auto& word : s_) word = SplitMix64(seed);
-}
-
-std::uint64_t Rng::NextUint64() {
-  const std::uint64_t result = Rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
 }
 
 std::uint64_t Rng::NextBounded(std::uint64_t bound) {
@@ -47,11 +31,6 @@ std::uint64_t Rng::NextBounded(std::uint64_t bound) {
     const std::uint64_t r = NextUint64();
     if (r >= threshold) return r % bound;
   }
-}
-
-float Rng::NextFloat() {
-  // 24 high-quality bits -> [0, 1).
-  return static_cast<float>(NextUint64() >> 40) * 0x1.0p-24f;
 }
 
 double Rng::NextDouble() {

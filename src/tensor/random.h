@@ -19,14 +19,27 @@ class Rng {
  public:
   explicit Rng(std::uint64_t seed);
 
-  /// Uniform 64-bit integer.
-  std::uint64_t NextUint64();
+  /// Uniform 64-bit integer. Defined inline: dropout draws one per
+  /// activation.
+  std::uint64_t NextUint64() {
+    const std::uint64_t result = Rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = Rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform in [0, bound). `bound` must be > 0.
   std::uint64_t NextBounded(std::uint64_t bound);
 
-  /// Uniform float in [0, 1).
-  float NextFloat();
+  /// Uniform float in [0, 1): the 24 high bits of NextUint64(), scaled.
+  float NextFloat() {
+    return static_cast<float>(NextUint64() >> 40) * 0x1.0p-24f;
+  }
 
   /// Uniform double in [0, 1).
   double NextDouble();
@@ -41,6 +54,10 @@ class Rng {
   void Shuffle(std::vector<std::int32_t>& values);
 
  private:
+  static std::uint64_t Rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::uint64_t s_[4];
   bool has_cached_gaussian_ = false;
   float cached_gaussian_ = 0.0f;

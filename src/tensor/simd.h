@@ -83,6 +83,10 @@ void SetActiveLevelForTesting(Level level);
 ///   * matmul_tb_rows:  rows [r0,r1) of out(m,n) = a(m,k) * b(n,k)^T; each
 ///                      element is a fresh dot product over p ascending
 ///                      with no zero-skip.
+///   * matmul_ta:       out(m,n) += a(k,m)^T * b(k,n); for each output
+///                      element, products accumulate over p ascending and
+///                      every a[p][i] == 0.0f contributes nothing (the
+///                      same zero-skip as matmul_rows).
 ///   * gemm_s8:         acc[j] += x[p] * w[p*n + j] (int32) over p
 ///                      ascending, skipping x[p] == 0; integer arithmetic,
 ///                      so exact at every level.
@@ -94,6 +98,8 @@ struct KernelSet {
   void (*matmul_tb_rows)(const float* a, const float* b, float* out,
                          std::size_t r0, std::size_t r1, std::size_t k,
                          std::size_t n);
+  void (*matmul_ta)(const float* a, const float* b, float* out,
+                    std::size_t k, std::size_t m, std::size_t n);
   void (*gemm_s8)(const std::int8_t* x, const std::int8_t* w,
                   std::int32_t* acc, std::size_t k, std::size_t n);
 };

@@ -1,7 +1,14 @@
 #include "src/core/distillation.h"
 
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
+
 #include "gtest/gtest.h"
 #include "src/nn/loss.h"
+#include "src/runtime/error.h"
+#include "src/tensor/simd.h"
 #include "tests/core/core_fixtures.h"
 
 namespace nai::core {
@@ -139,6 +146,87 @@ TEST(DistillationTest, ZeroEpochsLeavesHeadsUntouched) {
   distiller.TrainAll(w.all_feats, w.data.labels, w.all_nodes);
   const tensor::Matrix after = w.classifiers->Logits(2, w.all_feats);
   EXPECT_EQ(before.CountDifferences(after, 0.0f), 0u);
+}
+
+/// Every head parameter value of `stack`, head 1..k in order, as raw
+/// floats.
+std::vector<float> HeadParameterValues(ClassifierStack& stack) {
+  std::vector<float> out;
+  for (int l = 1; l <= stack.depth(); ++l) {
+    for (const nn::Parameter* p : stack.HeadParameters(l)) {
+      out.insert(out.end(), p->value.data(), p->value.data() + p->value.size());
+    }
+  }
+  return out;
+}
+
+TEST(DistillationTest, TrainAllBitExactAcrossSimdLevels) {
+  // The whole distillation pipeline trains the same bits at every SIMD
+  // level. SGC covers ReLU-sparse hidden activations under dropout and the
+  // skipped input gradient; GAMLP covers the attention head, whose
+  // backward needs the MLP's input gradient. Widths 12 -> 20 -> 4 put
+  // every product on a masked column tail.
+  struct LevelGuard {
+    ~LevelGuard() {
+      tensor::simd::SetActiveLevelForTesting(
+          tensor::simd::BestSupportedLevel());
+    }
+  } guard;
+  for (const auto kind : {models::ModelKind::kSgc, models::ModelKind::kGamlp}) {
+    auto w = MakeSmallWorld(3, kind, 300, 0);
+    models::ModelConfig mc = w.config;
+    mc.hidden_dims = {20};
+    mc.dropout = 0.3f;
+    DistillConfig cfg;
+    cfg.base_epochs = 12;
+    cfg.single_epochs = 8;
+    cfg.multi_epochs = 6;
+    cfg.ensemble_size = 2;
+    auto train = [&](tensor::simd::Level level) {
+      tensor::simd::SetActiveLevelForTesting(level);
+      ClassifierStack stack(mc, 9);
+      InceptionDistillation(stack, cfg)
+          .TrainAll(w.all_feats, w.data.labels, w.all_nodes);
+      return HeadParameterValues(stack);
+    };
+    ClassifierStack untrained(mc, 9);
+    const std::vector<float> init = HeadParameterValues(untrained);
+    const std::vector<float> ref = train(tensor::simd::Level::kScalar);
+    const std::vector<float> best =
+        train(tensor::simd::BestSupportedLevel());
+    ASSERT_EQ(best.size(), ref.size());
+    EXPECT_EQ(std::memcmp(best.data(), ref.data(), ref.size() * sizeof(float)),
+              0)
+        << models::ModelKindName(kind);
+    // Guard against a vacuous pass: training moved the parameters.
+    EXPECT_NE(std::memcmp(init.data(), ref.data(), ref.size() * sizeof(float)),
+              0)
+        << models::ModelKindName(kind);
+  }
+}
+
+TEST(DistillationTest, RejectsNonPositiveSingleTemperature) {
+  // Softmax(z / T) divides by T, so T <= 0 or a non-finite T is refused
+  // at construction, before any epoch runs, in every build type.
+  auto w = nai::testing::MakeSmallWorld(2, models::ModelKind::kSgc, 100, 0);
+  for (const float t : {0.0f, -1.0f, std::numeric_limits<float>::infinity(),
+                        std::nanf("")}) {
+    DistillConfig cfg;
+    cfg.temperature_single = t;
+    EXPECT_THROW(InceptionDistillation(*w.classifiers, cfg), ValidationError)
+        << t;
+  }
+}
+
+TEST(DistillationTest, RejectsNonPositiveMultiTemperature) {
+  auto w = nai::testing::MakeSmallWorld(2, models::ModelKind::kSgc, 100, 0);
+  for (const float t : {0.0f, -0.5f, std::numeric_limits<float>::infinity(),
+                        std::nanf("")}) {
+    DistillConfig cfg;
+    cfg.temperature_multi = t;
+    EXPECT_THROW(InceptionDistillation(*w.classifiers, cfg), ValidationError)
+        << t;
+  }
 }
 
 TEST(DistillationTest, EnsembleLargerThanDepthClamped) {

@@ -49,7 +49,7 @@ TEST(LinearTest, GradientCheckWeight) {
   layer.bias().ZeroGrad();
   const tensor::Matrix logits = layer.Forward(x, true);
   const LossResult loss = SoftmaxCrossEntropy(logits, labels);
-  layer.Backward(loss.grad_logits);
+  layer.Backward(loss.grad_logits, /*input_grad=*/false);
 
   const tensor::Matrix num_w = NumericalGradient(layer.weight().value, loss_fn);
   EXPECT_LT(GradientRelativeError(layer.weight().grad, num_w), 0.02f);
@@ -73,7 +73,8 @@ TEST(LinearTest, BackwardReturnsInputGradient) {
   layer.bias().ZeroGrad();
   const tensor::Matrix logits = layer.Forward(x, true);
   const LossResult loss = SoftmaxCrossEntropy(logits, labels);
-  const tensor::Matrix grad_x = layer.Backward(loss.grad_logits);
+  const tensor::Matrix grad_x =
+      layer.Backward(loss.grad_logits, /*input_grad=*/true);
 
   const tensor::Matrix num_x = NumericalGradient(x, loss_fn);
   EXPECT_LT(GradientRelativeError(grad_x, num_x), 0.02f);
@@ -85,10 +86,10 @@ TEST(LinearTest, GradientsAccumulate) {
   const tensor::Matrix x = RandomMatrix(3, 2, 12);
   const tensor::Matrix g = RandomMatrix(3, 2, 13);
   layer.Forward(x, true);
-  layer.Backward(g);
+  layer.Backward(g, /*input_grad=*/false);
   const tensor::Matrix once = layer.weight().grad;
   layer.Forward(x, true);
-  layer.Backward(g);
+  layer.Backward(g, /*input_grad=*/false);
   for (std::size_t i = 0; i < once.size(); ++i) {
     EXPECT_NEAR(layer.weight().grad.data()[i], 2.0f * once.data()[i], 1e-4f);
   }

@@ -1,8 +1,12 @@
 #include "src/nn/mlp.h"
 
+#include <cmath>
+#include <cstring>
+
 #include "gtest/gtest.h"
 #include "src/nn/adam.h"
 #include "src/nn/loss.h"
+#include "src/runtime/error.h"
 #include "tests/test_util.h"
 
 namespace nai::nn {
@@ -43,7 +47,8 @@ TEST(MlpTest, GradientCheckDeep) {
   mlp.CollectParameters(params);
   for (auto* p : params) p->ZeroGrad();
   const tensor::Matrix logits = mlp.Forward(x, true);
-  mlp.Backward(SoftmaxCrossEntropy(logits, labels).grad_logits);
+  mlp.Backward(SoftmaxCrossEntropy(logits, labels).grad_logits,
+               /*input_grad=*/false);
 
   for (auto* p : params) {
     const tensor::Matrix num = NumericalGradient(p->value, loss_fn);
@@ -65,7 +70,8 @@ TEST(MlpTest, InputGradientCheck) {
   for (auto* p : params) p->ZeroGrad();
   const tensor::Matrix logits = mlp.Forward(x, true);
   const tensor::Matrix grad_x =
-      mlp.Backward(SoftmaxCrossEntropy(logits, labels).grad_logits);
+      mlp.Backward(SoftmaxCrossEntropy(logits, labels).grad_logits,
+                   /*input_grad=*/true);
   const tensor::Matrix num = NumericalGradient(x, loss_fn);
   EXPECT_LT(GradientRelativeError(grad_x, num), 0.03f);
 }
@@ -88,7 +94,7 @@ TEST(MlpTest, TrainsToFitSmallDataset) {
     const tensor::Matrix logits = mlp.Forward(x, true);
     const LossResult r = SoftmaxCrossEntropy(logits, labels);
     loss = r.loss;
-    mlp.Backward(r.grad_logits);
+    mlp.Backward(r.grad_logits, /*input_grad=*/false);
     adam.Step();
   }
   EXPECT_LT(loss, 0.05f);
@@ -108,6 +114,54 @@ TEST(MlpTest, DropoutOnlyInTrainMode) {
   const tensor::Matrix c = mlp.Forward(x, true, &drop_rng);
   const tensor::Matrix d = mlp.Forward(x, true, &drop_rng);
   EXPECT_GT(c.CountDifferences(d, 1e-6f), 0u);
+}
+
+TEST(MlpTest, BackwardWithoutInputGradAccumulatesSameBits) {
+  // Skipping the first layer's input gradient must not touch any parameter
+  // gradient: two identical MLPs (same init, same dropout draws) run the
+  // full and the skipping backward, and every dW/db matches bit for bit.
+  const tensor::Matrix x = RandomMatrix(37, 12, 40);
+  const std::vector<std::int32_t> labels(37, 1);
+  tensor::Rng init_a(11), init_b(11);
+  Mlp full(12, {20, 16}, 5, 0.3f, init_a);
+  Mlp skip(12, {20, 16}, 5, 0.3f, init_b);
+  tensor::Rng drop_a(12), drop_b(12);
+  const tensor::Matrix logits_a = full.Forward(x, true, &drop_a);
+  const tensor::Matrix logits_b = skip.Forward(x, true, &drop_b);
+  const tensor::Matrix grad_x =
+      full.Backward(SoftmaxCrossEntropy(logits_a, labels).grad_logits,
+                    /*input_grad=*/true);
+  const tensor::Matrix none =
+      skip.Backward(SoftmaxCrossEntropy(logits_b, labels).grad_logits,
+                    /*input_grad=*/false);
+  EXPECT_EQ(grad_x.rows(), x.rows());
+  EXPECT_EQ(grad_x.cols(), x.cols());
+  EXPECT_TRUE(none.empty());
+
+  std::vector<Parameter*> pa, pb;
+  full.CollectParameters(pa);
+  skip.CollectParameters(pb);
+  ASSERT_EQ(pa.size(), pb.size());
+  for (std::size_t i = 0; i < pa.size(); ++i) {
+    ASSERT_TRUE(pa[i]->grad.SameShape(pb[i]->grad));
+    EXPECT_EQ(std::memcmp(pa[i]->grad.data(), pb[i]->grad.data(),
+                          pa[i]->grad.size() * sizeof(float)),
+              0)
+        << "parameter " << i;
+  }
+}
+
+TEST(MlpTest, RejectsDropoutOutsideUnitInterval) {
+  // A rate of 1 would zero every hidden activation (and divide by zero in
+  // the rescale); negative and NaN rates are meaningless. Checked at
+  // construction in every build type.
+  for (const float rate : {1.0f, 1.5f, -0.1f, std::nanf("")}) {
+    tensor::Rng rng(1);
+    EXPECT_THROW(Mlp(4, {8}, 2, rate, rng), ValidationError) << rate;
+  }
+  tensor::Rng rng(1);
+  EXPECT_NO_THROW(Mlp(4, {8}, 2, 0.0f, rng));
+  EXPECT_NO_THROW(Mlp(4, {8}, 2, 0.99f, rng));
 }
 
 TEST(MlpTest, ForwardMacsAndParamCount) {

@@ -5,12 +5,15 @@
 // on int8/int32. The sweep runs every shape in tests/tensor/kernel_shapes.h
 // — lane-group boundaries, register-block boundaries, empty matrices, wide
 // serving shapes — with unaligned operand bases, planted denormals, NaNs
-// and infinities. On a scalar-only host the per-level loops degenerate to
+// and infinities, ReLU-sparse zero-skipped operands and -0 accumulators;
+// the transposed-A kernel is also held to a naive loop, on the tall
+// training shapes too. On a scalar-only host the per-level loops degenerate to
 // scalar-vs-scalar and the suite still passes (and still checks the
 // dispatched entry points).
 
 #include "src/tensor/simd.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -114,37 +117,133 @@ TEST(KernelParityTest, AxpyMatchesScalarBitwise) {
   }
 }
 
+/// How a test fills the zero-skipped operand `a`: the plain stream (exact
+/// zeros, -0 and denormals among ordinary values), or a ReLU output (about
+/// half of it zero, the sparsity of a hidden activation in training).
+enum class AFill { kStream, kReluLike };
+
+/// The initial contents of an accumulated output: stream values, or -0
+/// everywhere (a skipped product must leave -0 as -0, not add +0 to it).
+enum class OutInit { kStream, kNegativeZero };
+
+std::string VariantLabel(AFill fill, OutInit init, bool poison) {
+  return std::string(fill == AFill::kReluLike ? " a=relu" : " a=stream") +
+         (init == OutInit::kNegativeZero ? " out=-0" : " out=stream") +
+         " poison=" + (poison ? "1" : "0");
+}
+
+void FillA(KernelValueStream& stream, std::vector<float>& v, AFill fill) {
+  if (fill == AFill::kReluLike) {
+    nai::testing::FillReluLike(stream, v);
+  } else {
+    FillFloats(stream, v);
+  }
+}
+
+void FillInit(KernelValueStream& stream, std::vector<float>& v,
+              OutInit init) {
+  if (init == OutInit::kNegativeZero) {
+    std::fill(v.begin(), v.end(), -0.0f);
+  } else {
+    FillFloats(stream, v);
+  }
+}
+
 TEST(KernelParityTest, MatMulRowsMatchesScalarBitwise) {
   for (const bool poison : {false, true}) {
-    for (const GemmShape& s : ParityShapes()) {
-      KernelValueStream stream(17 + s.m * 31 + s.k * 7 + s.n +
-                               (poison ? 5000 : 0));
-      Unaligned a(s.m * s.k), b(s.k * s.n);
-      std::vector<float> av(a.size()), bv(b.size()), init(s.m * s.n);
-      FillFloats(stream, av);
-      // Poison only b: the zero-skip contract says a[i][p] == 0 must also
-      // skip 0 * NaN, so planting NaN/Inf in b (opposite the stream's
-      // exact zeros in a) exercises exactly that path.
-      FillFloats(stream, bv, poison);
-      FillFloats(stream, init);
-      std::copy(av.begin(), av.end(), a.data());
-      std::copy(bv.begin(), bv.end(), b.data());
+    for (const AFill fill : {AFill::kStream, AFill::kReluLike}) {
+      for (const OutInit init_kind :
+           {OutInit::kStream, OutInit::kNegativeZero}) {
+        for (const GemmShape& s : ParityShapes()) {
+          KernelValueStream stream(17 + s.m * 31 + s.k * 7 + s.n +
+                                   (poison ? 5000 : 0));
+          Unaligned a(s.m * s.k), b(s.k * s.n);
+          std::vector<float> av(a.size()), bv(b.size()), init(s.m * s.n);
+          FillA(stream, av, fill);
+          // Poison only b: the zero-skip contract says a[i][p] == 0 must
+          // also skip 0 * NaN, so planting NaN/Inf in b (opposite the
+          // exact zeros in a) exercises exactly that path.
+          FillFloats(stream, bv, poison);
+          FillInit(stream, init, init_kind);
+          std::copy(av.begin(), av.end(), a.data());
+          std::copy(bv.begin(), bv.end(), b.data());
 
-      Unaligned ref(s.m * s.n);
-      std::copy(init.begin(), init.end(), ref.data());
-      Kernels(Level::kScalar)
-          .matmul_rows(a.data(), b.data(), ref.data(), 0, s.m, s.k, s.n);
-      for (const Level level : SupportedLevels()) {
-        Unaligned out(s.m * s.n);
-        std::copy(init.begin(), init.end(), out.data());
-        // Split the row range unevenly to cover the r0 > 0 entry as the
-        // threaded ParallelFor would.
-        const std::size_t mid = s.m / 3;
-        const KernelSet& ks = Kernels(level);
-        ks.matmul_rows(a.data(), b.data(), out.data(), 0, mid, s.k, s.n);
-        ks.matmul_rows(a.data(), b.data(), out.data(), mid, s.m, s.k, s.n);
-        EXPECT_EQ(Bits(out.payload()), Bits(ref.payload()))
-            << ShapeLabel(s, level) << " poison=" << poison;
+          Unaligned ref(s.m * s.n);
+          std::copy(init.begin(), init.end(), ref.data());
+          Kernels(Level::kScalar)
+              .matmul_rows(a.data(), b.data(), ref.data(), 0, s.m, s.k, s.n);
+          for (const Level level : SupportedLevels()) {
+            Unaligned out(s.m * s.n);
+            std::copy(init.begin(), init.end(), out.data());
+            // Split the row range unevenly to cover the r0 > 0 entry as
+            // the threaded ParallelFor would.
+            const std::size_t mid = s.m / 3;
+            const KernelSet& ks = Kernels(level);
+            ks.matmul_rows(a.data(), b.data(), out.data(), 0, mid, s.k, s.n);
+            ks.matmul_rows(a.data(), b.data(), out.data(), mid, s.m, s.k,
+                           s.n);
+            EXPECT_EQ(Bits(out.payload()), Bits(ref.payload()))
+                << ShapeLabel(s, level) << VariantLabel(fill, init_kind,
+                                                        poison);
+          }
+        }
+      }
+    }
+  }
+}
+
+/// The transposed-A contract written as the plainest loop: out(m, n) +=
+/// a(k, m)^T * b(k, n), p ascending, a[p][i] == 0 skipped. The product is
+/// its own statement so no compiler can contract it into an FMA.
+void NaiveMatMulTransposeA(const float* a, const float* b, float* out,
+                           std::size_t k, std::size_t m, std::size_t n) {
+  for (std::size_t p = 0; p < k; ++p) {
+    for (std::size_t i = 0; i < m; ++i) {
+      const float av = a[p * m + i];
+      if (av == 0.0f) continue;
+      for (std::size_t j = 0; j < n; ++j) {
+        const float prod = av * b[p * n + j];
+        out[i * n + j] = out[i * n + j] + prod;
+      }
+    }
+  }
+}
+
+TEST(KernelParityTest, MatMulTransposeAMatchesNaiveBitwise) {
+  // GemmShape {m, k, n} reads as out(m, n) = a(k, m)^T * b(k, n) here; the
+  // tall shapes are the training weight gradients.
+  std::vector<GemmShape> shapes = ParityShapes();
+  for (const GemmShape& s : nai::testing::TallTransposeAShapes()) {
+    shapes.push_back(s);
+  }
+  for (const bool poison : {false, true}) {
+    for (const AFill fill : {AFill::kStream, AFill::kReluLike}) {
+      for (const OutInit init_kind :
+           {OutInit::kStream, OutInit::kNegativeZero}) {
+        for (const GemmShape& s : shapes) {
+          KernelValueStream stream(53 + s.m * 19 + s.k * 5 + s.n +
+                                   (poison ? 9000 : 0));
+          Unaligned a(s.k * s.m), b(s.k * s.n);
+          std::vector<float> av(a.size()), bv(b.size()), init(s.m * s.n);
+          FillA(stream, av, fill);
+          FillFloats(stream, bv, poison);
+          FillInit(stream, init, init_kind);
+          std::copy(av.begin(), av.end(), a.data());
+          std::copy(bv.begin(), bv.end(), b.data());
+
+          std::vector<float> ref = init;
+          NaiveMatMulTransposeA(a.data(), b.data(), ref.data(), s.k, s.m,
+                                s.n);
+          for (const Level level : SupportedLevels()) {
+            Unaligned out(s.m * s.n);
+            std::copy(init.begin(), init.end(), out.data());
+            Kernels(level).matmul_ta(a.data(), b.data(), out.data(), s.k,
+                                     s.m, s.n);
+            EXPECT_EQ(Bits(out.payload()), Bits(ref))
+                << ShapeLabel(s, level) << VariantLabel(fill, init_kind,
+                                                        poison);
+          }
+        }
       }
     }
   }
@@ -260,27 +359,31 @@ TEST(KernelParityTest, GemmS8WithinToleranceOfFloatReference) {
 }
 
 TEST(KernelParityTest, DispatchedMatMulBitExactAcrossLevels) {
-  // The public entry points (tensor::MatMul / MatMulTransposeB) under the
-  // test pin: every supported level must reproduce the scalar-pinned
-  // product byte-for-byte, single- and multi-threaded.
+  // The public entry points (tensor::MatMul / MatMulTransposeB /
+  // MatMulTransposeA) under the test pin: every supported level must
+  // reproduce the scalar-pinned product byte-for-byte, single- and
+  // multi-threaded.
   ActiveLevelGuard guard;
   for (const GemmShape& s : ParityShapes()) {
     KernelValueStream stream(101 + s.m + s.k + s.n);
-    Matrix a(s.m, s.k), b(s.k, s.n), bt(s.n, s.k);
+    Matrix a(s.m, s.k), b(s.k, s.n), bt(s.n, s.k), c(s.m, s.n);
     for (std::size_t i = 0; i < a.size(); ++i) a.data()[i] = stream.Next();
     for (std::size_t i = 0; i < b.size(); ++i) b.data()[i] = stream.Next();
     for (std::size_t i = 0; i < bt.size(); ++i) bt.data()[i] = stream.Next();
+    for (std::size_t i = 0; i < c.size(); ++i) c.data()[i] = stream.Next();
 
     SetActiveLevelForTesting(Level::kScalar);
     runtime::ThreadPool::SetDefaultThreads(1);
     const Matrix ref = MatMul(a, b);
     const Matrix ref_tb = MatMulTransposeB(a, bt);
+    const Matrix ref_ta = MatMulTransposeA(a, c);  // (k x n) = a^T * c
     for (const Level level : SupportedLevels()) {
       SetActiveLevelForTesting(level);
       for (const int threads : {1, 8}) {
         runtime::ThreadPool::SetDefaultThreads(threads);
         const Matrix out = MatMul(a, b);
         const Matrix out_tb = MatMulTransposeB(a, bt);
+        const Matrix out_ta = MatMulTransposeA(a, c);
         const std::string label = ShapeLabel(s, level) +
                                   " threads=" + std::to_string(threads);
         ASSERT_EQ(out.rows(), ref.rows());
@@ -288,6 +391,8 @@ TEST(KernelParityTest, DispatchedMatMulBitExactAcrossLevels) {
         EXPECT_EQ(Bits(out), Bits(ref)) << "MatMul " << label;
         EXPECT_EQ(Bits(out_tb), Bits(ref_tb))
             << "MatMulTransposeB " << label;
+        EXPECT_EQ(Bits(out_ta), Bits(ref_ta))
+            << "MatMulTransposeA " << label;
       }
     }
   }

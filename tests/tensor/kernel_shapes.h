@@ -43,6 +43,15 @@ inline std::vector<GemmShape> ParityShapes() {
   shapes.push_back({63, 64, 65});
   shapes.push_back({64, 65, 63});
   shapes.push_back({65, 63, 64});
+  // Edges of the AVX2 4-row x 16-column tile: row counts on and past a
+  // 4-row block against column counts on a 16-column tile, with masked
+  // tails of 4, 8 and 1 columns (20, 24, 65); k = 9 and 20 leave 1 and 4
+  // p steps past the 8-step zero-check chunks.
+  for (const std::size_t m : {4, 5, 8, 67}) {
+    for (const std::size_t n : {16, 20, 24, 64, 65}) {
+      for (const std::size_t k : {9, 20}) shapes.push_back({m, k, n});
+    }
+  }
   // Empty matrices: each dimension zero in turn.
   shapes.push_back({0, 8, 8});
   shapes.push_back({8, 0, 8});
@@ -54,6 +63,14 @@ inline std::vector<GemmShape> ParityShapes() {
   shapes.push_back({2, 17, 1000});
   shapes.push_back({1, 8, 4096});
   return shapes;
+}
+
+/// Tall-k shapes of the training weight gradient dW = X^T * dY, for the
+/// transposed-A kernel: out(m, n) from a(k, m) and b(k, n), with k the
+/// batch rows, m the layer input width and n its output width (a hidden
+/// layer and a 20-class head).
+inline std::vector<GemmShape> TallTransposeAShapes() {
+  return {{64, 10800, 20}, {64, 10800, 64}};
 }
 
 /// Deterministic value stream for filling operands: a mix of ordinary
@@ -104,6 +121,16 @@ inline void FillFloats(KernelValueStream& stream, std::vector<float>& v,
   if (poison && v.size() >= 2) {
     v[v.size() / 3] = std::numeric_limits<float>::quiet_NaN();
     v[(2 * v.size()) / 3] = -std::numeric_limits<float>::infinity();
+  }
+}
+
+/// Fills `v` like a ReLU output: every negative stream value becomes +0,
+/// so about half the entries are zero, and the stream's -0, denormals and
+/// positive magnitudes are kept.
+inline void FillReluLike(KernelValueStream& stream, std::vector<float>& v) {
+  for (float& x : v) {
+    x = stream.Next();
+    if (x < 0.0f) x = 0.0f;
   }
 }
 

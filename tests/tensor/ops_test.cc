@@ -2,10 +2,13 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <numeric>
 
 #include "gtest/gtest.h"
 #include "src/tensor/random.h"
+#include "tests/tensor/kernel_shapes.h"
 #include "tests/test_util.h"
 
 namespace nai::tensor {
@@ -271,7 +274,8 @@ TEST(OpsTest, DropoutZeroRateIsIdentity) {
   Matrix m = RandomMatrix(4, 4, 3);
   const Matrix before = m;
   Matrix mask;
-  DropoutInPlace(m, 0.0f, mask, [] { return 0.5f; });
+  Rng rng(1);
+  DropoutInPlace(m, 0.0f, mask, rng);
   ExpectMatrixNear(m, before, 0.0f);
   for (std::size_t i = 0; i < mask.size(); ++i) {
     EXPECT_FLOAT_EQ(mask.data()[i], 1.0f);
@@ -283,7 +287,7 @@ TEST(OpsTest, DropoutDropsAndRescales) {
   m.Fill(2.0f);
   Matrix mask;
   Rng rng(5);
-  DropoutInPlace(m, 0.5f, mask, [&rng] { return rng.NextFloat(); });
+  DropoutInPlace(m, 0.5f, mask, rng);
   for (std::size_t i = 0; i < m.size(); ++i) {
     // Survivors are rescaled by 2x, dropped are exactly 0.
     EXPECT_TRUE(m.data()[i] == 0.0f || m.data()[i] == 4.0f);
@@ -297,10 +301,78 @@ TEST(OpsTest, DropoutExpectationPreserved) {
   m.Fill(1.0f);
   Matrix mask;
   Rng rng(7);
-  DropoutInPlace(m, 0.3f, mask, [&rng] { return rng.NextFloat(); });
+  DropoutInPlace(m, 0.3f, mask, rng);
   const double mean =
       std::accumulate(m.data(), m.data() + m.size(), 0.0) / m.size();
   EXPECT_NEAR(mean, 1.0, 0.05);
+}
+
+/// Raw bit patterns, so -0 vs +0 and NaN payloads count as differences.
+std::vector<std::uint32_t> RawBits(const Matrix& m) {
+  std::vector<std::uint32_t> out(m.size());
+  if (!out.empty()) std::memcpy(out.data(), m.data(), m.size() * sizeof(float));
+  return out;
+}
+
+/// A row-major matrix of kernel-stream values (zeros, -0, denormals) with
+/// a NaN and a -inf planted.
+Matrix StreamMatrix(std::size_t rows, std::size_t cols, std::uint64_t seed) {
+  nai::testing::KernelValueStream stream(seed);
+  std::vector<float> v(rows * cols);
+  nai::testing::FillFloats(stream, v, /*poison=*/true);
+  Matrix m(rows, cols);
+  std::copy(v.begin(), v.end(), m.data());
+  return m;
+}
+
+TEST(OpsTest, ReluBackwardMatchesNaiveBitwise) {
+  // z carries +-0, denormals, NaN and -inf; grad carries the same. The
+  // naive loop zeroes exactly where z <= 0 (so -0 and +0 both kill, NaN
+  // does not) and leaves every other bit alone.
+  for (const std::size_t cols : {1u, 7u, 8u, 20u, 64u, 65u}) {
+    const Matrix z = StreamMatrix(37, cols, 3 + cols);
+    Matrix grad = StreamMatrix(37, cols, 1000 + cols);
+    Matrix ref = grad;
+    for (std::size_t i = 0; i < z.size(); ++i) {
+      if (z.data()[i] <= 0.0f) ref.data()[i] = 0.0f;
+    }
+    ReluBackwardInPlace(z, grad);
+    EXPECT_EQ(RawBits(grad), RawBits(ref)) << "cols=" << cols;
+  }
+}
+
+TEST(OpsTest, DropoutMatchesNaiveBitwise) {
+  // The naive loop: one NextFloat() per entry in index order, dropped when
+  // the draw is < rate. Values and mask must match bit for bit (NaN, -inf
+  // and -0 inputs included), and both runs leave the Rng in the same state.
+  for (const float rate : {0.1f, 0.3f, 0.5f, 0.9f}) {
+    for (const std::size_t cols : {1u, 20u, 64u, 67u}) {
+      const Matrix input = StreamMatrix(33, cols, 7 + cols);
+      Rng rng(42);
+      Rng naive_rng(42);
+      Matrix m = input;
+      Matrix mask;
+      DropoutInPlace(m, rate, mask, rng);
+
+      Matrix ref = input;
+      Matrix ref_mask(input.rows(), input.cols());
+      const float keep_scale = 1.0f / (1.0f - rate);
+      for (std::size_t i = 0; i < ref.size(); ++i) {
+        if (naive_rng.NextFloat() < rate) {
+          ref_mask.data()[i] = 0.0f;
+          ref.data()[i] = 0.0f;
+        } else {
+          ref_mask.data()[i] = keep_scale;
+          ref.data()[i] *= keep_scale;
+        }
+      }
+      EXPECT_EQ(RawBits(m), RawBits(ref))
+          << "rate=" << rate << " cols=" << cols;
+      EXPECT_EQ(RawBits(mask), RawBits(ref_mask))
+          << "rate=" << rate << " cols=" << cols;
+      EXPECT_EQ(rng.NextUint64(), naive_rng.NextUint64());
+    }
+  }
 }
 
 }  // namespace
