@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
       eval::TrainPipeline(ds, bench::BenchPipelineConfig());
   auto engine = eval::MakeEngine(pipeline, ds);
   // --shards N > 1: NAI rows (the only graph-serving methods) come from the
-  // partitioned engine; batch size then applies per shard's routed list.
+  // sharded engine, which forms the same batches on N engine replicas.
   std::unique_ptr<core::ShardedNaiEngine> sharded_engine;
   if (shards > 1) sharded_engine = eval::MakeShardedEngine(pipeline, ds, shards);
   auto run_nai = [&](const core::InferenceConfig& cfg, const char* name) {

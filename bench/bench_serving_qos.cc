@@ -7,7 +7,7 @@
 //
 // Five stages:
 //   1. Exactness gate (closed loop, all three classes mixed): every
-//      response must be bit-identical to a direct routed Infer of the same
+//      response must be bit-identical to a direct sharded Infer of the same
 //      node under that class's config — the serving stack may never change
 //      a prediction (per-row INT8 quantization makes even the throughput
 //      class batch-invariant). The throughput class additionally proves
@@ -189,7 +189,7 @@ int main(int argc, char** argv) {
   const serve::QosPolicyTable policies =
       eval::MakeQosPolicyTable(pipeline, ds, core::NapKind::kDistance);
 
-  // Per-class references: what a direct routed Infer answers for every
+  // Per-class references: what a direct sharded Infer answers for every
   // test node under each class's config. Serving must reproduce these bits.
   const core::InferenceResult ref_speed =
       sharded->Infer(test, policies.For(serve::QosClass::kSpeedFirst).config);

@@ -170,8 +170,9 @@ stage_bench() {
   NAI_SCALE="${NAI_BENCH_SCALE:-0.02}" "${BUILD_DIR}-release/bench_outofcore" \
     --threads 2 --requests 4000 --json BENCH_outofcore.json
   echo "out-of-core smoke wrote $(pwd)/BENCH_outofcore.json"
-  # Shard-scaling exactness gate: 1/2/4/8 shards must predict exactly as
-  # the unsharded engine (nonzero exit on any mismatch).
+  # Shard-scaling exactness gate: 1/2/4/8 shards must match the unsharded
+  # engine's predictions, exit histogram and propagation MACs (nonzero exit
+  # on any mismatch).
   NAI_SCALE="${NAI_BENCH_SCALE:-0.1}" "${BUILD_DIR}-release/bench_shard_scaling" \
     --threads 2
 }

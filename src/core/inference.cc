@@ -63,6 +63,26 @@ void InferenceStats::Accumulate(const InferenceStats& other) {
   }
 }
 
+std::vector<ConfigGroup> GroupByConfig(
+    const std::vector<ConfiguredQuery>& queries) {
+  // The linear scan is fine — the serving front-end resolves QoS classes to
+  // a handful of shared configs.
+  std::vector<ConfigGroup> groups;
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const ConfiguredQuery& q = queries[i];
+    if (q.config == nullptr) {
+      throw ValidationError("InferMixed: query " + std::to_string(i) +
+                            " has no config");
+    }
+    std::size_t g = 0;
+    while (g < groups.size() && groups[g].config != q.config) ++g;
+    if (g == groups.size()) groups.push_back({q.config, {}, {}});
+    groups[g].nodes.push_back(q.node);
+    groups[g].slots.push_back(i);
+  }
+  return groups;
+}
+
 NaiEngine NaiEngine::FromSnapshot(
     std::shared_ptr<const graph::GraphSnapshot> snapshot,
     ClassifierStack& classifiers, EngineOptions options) {
@@ -85,27 +105,31 @@ NaiEngine::NaiEngine(std::shared_ptr<const graph::GraphSnapshot> snapshot,
   if (options.use_stationary) stationary_ = BuildStationary(*snapshot_);
 }
 
+void NaiEngine::ValidateConfig(const InferenceConfig& config) const {
+  if (config.int8_classifier && quantized_ == nullptr) {
+    throw ValidationError(
+        "NaiEngine: config requests the int8 classifier but no "
+        "QuantizedClassifierStack is attached");
+  }
+  if (config.nap != NapKind::kNone && !stationary_.has_value()) {
+    throw ValidationError(
+        "NaiEngine: NAPd/NAPg configs need a stationary state but the "
+        "engine was built with use_stationary = false");
+  }
+  if (config.nap == NapKind::kGate && gates_ == nullptr) {
+    throw ValidationError(
+        "NaiEngine: NAPg config but the engine was built without gates "
+        "(EngineOptions::gates)");
+  }
+}
+
 InferenceResult NaiEngine::Infer(const std::vector<std::int32_t>& nodes,
                                  const InferenceConfig& config) {
   const auto run_start = Clock::now();
   const int k = classifiers_->depth();
   const int t_max = config.effective_t_max(k);
   assert(t_max >= 1);
-  if (config.int8_classifier && quantized_ == nullptr) {
-    throw ValidationError(
-        "NaiEngine::Infer: config requests the int8 classifier but no "
-        "QuantizedClassifierStack is attached");
-  }
-  if (config.nap != NapKind::kNone && !stationary_.has_value()) {
-    throw ValidationError(
-        "NaiEngine::Infer: NAPd/NAPg configs need a stationary state but "
-        "the engine was built with use_stationary = false");
-  }
-  if (config.nap == NapKind::kGate && gates_ == nullptr) {
-    throw ValidationError(
-        "NaiEngine::Infer: NAPg config but the engine was built without "
-        "gates (EngineOptions::gates)");
-  }
+  ValidateConfig(config);
 
   InferenceResult result;
   result.predictions.resize(nodes.size());
@@ -132,39 +156,15 @@ InferenceResult NaiEngine::Infer(const std::vector<std::int32_t>& nodes,
 InferenceResult NaiEngine::InferMixed(
     const std::vector<ConfiguredQuery>& queries) {
   const auto run_start = Clock::now();
-  // Stable grouping by config identity: groups in first-appearance order,
-  // caller order preserved within each group. The linear scan is fine — the
-  // serving front-end resolves QoS classes to a handful of shared configs.
-  std::vector<const InferenceConfig*> group_configs;
-  std::vector<std::vector<std::int32_t>> group_nodes;
-  std::vector<std::vector<std::size_t>> group_slots;
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    const ConfiguredQuery& q = queries[i];
-    if (q.config == nullptr) {
-      throw ValidationError("NaiEngine::InferMixed: query " +
-                            std::to_string(i) + " has no config");
-    }
-    std::size_t g = 0;
-    while (g < group_configs.size() && group_configs[g] != q.config) ++g;
-    if (g == group_configs.size()) {
-      group_configs.push_back(q.config);
-      group_nodes.emplace_back();
-      group_slots.emplace_back();
-    }
-    group_nodes[g].push_back(q.node);
-    group_slots[g].push_back(i);
-  }
-
   InferenceResult result;
   result.predictions.resize(queries.size());
   result.exit_depths.resize(queries.size());
   result.stats.num_nodes = static_cast<std::int64_t>(queries.size());
-  for (std::size_t g = 0; g < group_configs.size(); ++g) {
-    InferenceResult local = Infer(group_nodes[g], *group_configs[g]);
-    const std::vector<std::size_t>& slots = group_slots[g];
-    for (std::size_t j = 0; j < slots.size(); ++j) {
-      result.predictions[slots[j]] = local.predictions[j];
-      result.exit_depths[slots[j]] = local.exit_depths[j];
+  for (const ConfigGroup& group : GroupByConfig(queries)) {
+    InferenceResult local = Infer(group.nodes, *group.config);
+    for (std::size_t j = 0; j < group.slots.size(); ++j) {
+      result.predictions[group.slots[j]] = local.predictions[j];
+      result.exit_depths[group.slots[j]] = local.exit_depths[j];
     }
     // Accumulate excludes num_nodes and wall_time_ms by design; both
     // describe this whole call and are set exactly once here.

@@ -58,14 +58,14 @@ struct InferenceStats {
   std::int64_t nap_macs = 0;            ///< distance or gate decisions
   std::int64_t stationary_macs = 0;     ///< X^(∞) rows (rank-1 form)
   std::int64_t classification_macs = 0; ///< classifier forward passes
-  /// Per-stage timers are *busy* times summed over batches (and, for a
-  /// ShardedNaiEngine run, over its concurrent shards); use wall_time_ms
+  /// Per-stage timers are *busy* times summed over batches (for a
+  /// ShardedNaiEngine run, batches that ran concurrently); use wall_time_ms
   /// for latency.
   double fp_time_ms = 0.0;              ///< propagation + NAP decisions
   double sample_time_ms = 0.0;          ///< supporting-node sampling
   double stationary_time_ms = 0.0;
   double classify_time_ms = 0.0;
-  /// Elapsed wall-clock of the whole Infer call (never summed per shard).
+  /// Elapsed wall-clock of the whole Infer call (never summed per batch).
   double wall_time_ms = 0.0;
   /// exits_at_depth[l-1] = nodes predicted by f^(l) (Table VI rows).
   std::vector<std::int64_t> exits_at_depth;
@@ -84,7 +84,7 @@ struct InferenceStats {
   /// Adds `other`'s counters, stage timers and per-depth exit histogram
   /// into this one (num_nodes and wall_time_ms excluded — they describe
   /// the whole run, not a part). Used to merge per-config-group and
-  /// per-shard stats deterministically; all integer counters are
+  /// per-batch stats deterministically; all integer counters are
   /// order-independent.
   void Accumulate(const InferenceStats& other);
 };
@@ -98,6 +98,19 @@ struct ConfiguredQuery {
   std::int32_t node = 0;
   const InferenceConfig* config = nullptr;
 };
+
+/// The queries of one InferMixed call that share a config pointer.
+struct ConfigGroup {
+  const InferenceConfig* config = nullptr;
+  std::vector<std::int32_t> nodes;  ///< caller order
+  std::vector<std::size_t> slots;   ///< each node's index in the caller's list
+};
+
+/// The co-batching rule of both InferMixed implementations: groups
+/// `queries` by config pointer, groups in first-appearance order and caller
+/// order within each group. Throws nai::ValidationError on a null config.
+std::vector<ConfigGroup> GroupByConfig(
+    const std::vector<ConfiguredQuery>& queries);
 
 struct InferenceResult {
   std::vector<std::int32_t> predictions;  ///< aligned with the query nodes
@@ -148,8 +161,8 @@ struct EngineOptions {
 ///
 /// Threading: batches run one after another; their kernels run on the pool
 /// of the engine's ExecContext, and results are bit-exact for every thread
-/// count. Running batches concurrently is ShardedNaiEngine's job: each of
-/// its shards is one of these engines on its own pool.
+/// count. Running batches concurrently is ShardedNaiEngine's job: it hands
+/// batches to N of these engines, each on its own pool.
 class NaiEngine {
  public:
   /// Serve the graph held by `snapshot` (any storage backend) with the
@@ -168,23 +181,22 @@ class NaiEngine {
   void AttachQuantizedClassifiers(QuantizedClassifierStack* quantized) {
     quantized_ = quantized;
   }
-  const QuantizedClassifierStack* quantized_classifiers() const {
-    return quantized_;
-  }
+
+  /// Checks that this engine can serve `config`: a config that requests the
+  /// int8 classifier needs an attached quantized stack, a NAPd/NAPg config
+  /// needs the stationary state (EngineOptions::use_stationary) and a NAPg
+  /// config needs gates. Throws nai::ValidationError otherwise.
+  void ValidateConfig(const InferenceConfig& config) const;
 
   /// Classifies `nodes` (global ids in the full graph). Thread-compatible
   /// but not thread-safe (shared batch scratch). Throws
-  /// nai::ValidationError on an out-of-range node id, when
-  /// `config.int8_classifier` is set with no quantized stack attached, when
-  /// a NAPd/NAPg config meets an engine without a stationary state, or when
-  /// a NAPg config meets an engine without gates; the engine stays usable
-  /// after any of them.
+  /// nai::ValidationError on an out-of-range node id or when ValidateConfig
+  /// rejects `config`; the engine stays usable after either.
   InferenceResult Infer(const std::vector<std::int32_t>& nodes,
                         const InferenceConfig& config);
 
   /// Per-query-config entry point: classifies queries that each carry their
-  /// own InferenceConfig. Queries are grouped by config pointer (stable:
-  /// first-appearance group order, caller order within a group) and every
+  /// own InferenceConfig. Queries are grouped by GroupByConfig and every
   /// group runs through Infer, so each group's predictions/exit depths are
   /// bit-identical to a direct Infer call on that group's node list.
   /// Results are scattered back into caller order; stats are the groups'

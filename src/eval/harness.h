@@ -85,11 +85,11 @@ std::unique_ptr<core::NaiEngine> MakeEngine(
 /// Builds the sharded serving engine (`--shards` flag path) over a
 /// MakeStoreSnapshot snapshot, so NAI_STORE / --store picks the storage
 /// backend and the engine (and a ServingEngine over it) accepts
-/// SwapSnapshot / ApplyDeltas. The nodes are split into `num_shards`
-/// balanced ownership ranges, each served by an engine over the whole
-/// snapshot. Each shard gets an equal slice of `total_threads` (<= 0 =
-/// default-pool size). Results are bit-identical to MakeEngine's (see
-/// core::ShardedNaiEngine).
+/// SwapSnapshot / ApplyDeltas. It runs `num_shards` identical engines
+/// over the whole snapshot, each on an equal slice of `total_threads`
+/// (<= 0 = default-pool size), and spreads the batches over them.
+/// Predictions, exit depths and every integer stat are bit-identical to
+/// MakeEngine's (see core::ShardedNaiEngine).
 std::unique_ptr<core::ShardedNaiEngine> MakeShardedEngine(
     TrainedPipeline& pipeline, const PreparedDataset& ds, int num_shards,
     int total_threads = 0);
@@ -234,8 +234,8 @@ MethodResult RunNai(core::NaiEngine& engine, const PreparedDataset& ds,
                     const core::InferenceConfig& config,
                     const std::string& name);
 
-/// Sharded-serving counterpart of RunNai: same scoring, queries routed
-/// across the engine's shards.
+/// Sharded-serving counterpart of RunNai: same scoring, batches spread
+/// across the engine's replicas.
 MethodResult RunShardedNai(core::ShardedNaiEngine& engine,
                            const PreparedDataset& ds,
                            const std::vector<std::int32_t>& nodes,

@@ -67,10 +67,10 @@ inline int ApplyThreadsFlag(int& argc, char** argv) {
   return ThreadPool::Default().num_threads();
 }
 
-/// Consumes a `--shards N` / `--shards=N` argument: how many serving-graph
-/// shards to partition into (see core::ShardedNaiEngine). Returns 1 —
-/// unsharded — when absent or invalid. Purely a parse: the caller decides
-/// what to build from it.
+/// Consumes a `--shards N` / `--shards=N` argument: how many engine
+/// replicas, each on its own pool slice, serve the graph (see
+/// core::ShardedNaiEngine). Returns 1 — unsharded — when absent or
+/// invalid. Purely a parse: the caller decides what to build from it.
 inline int ShardsFlag(int& argc, char** argv) {
   const long requested = ConsumeIntFlag(argc, argv, "--shards");
   return requested > 0 ? static_cast<int>(requested) : 1;

@@ -109,20 +109,13 @@ ServingEngine::ServingEngine(core::ShardedNaiEngine& engine,
       options_(options),
       stats_(std::make_unique<Counters>()) {
   for (std::size_t c = 0; c < kNumQosClasses; ++c) {
-    // The pumps call shard engines directly, bypassing the routed entry
-    // points and their config check — so every policy is validated here,
-    // before any request can be admitted.
+    // The pumps call the engines directly, bypassing ShardedNaiEngine's
+    // entry points and their config check — so every policy is validated
+    // here, before any request can be admitted.
     engine_->ValidateConfig(policies_.policies[c].config);
   }
-  // One pump per shard engine of the construction-time state. A snapshot
-  // swap never takes an engine away (existing owners never move), so every
-  // pump's engine exists in every later state.
-  const std::shared_ptr<const core::ShardedNaiEngine::ShardState> state =
-      engine_->PinState();
-  std::vector<std::size_t> engines;
-  for (std::size_t w = 0; w < state->engines.size(); ++w) {
-    if (state->engines[w] != nullptr) engines.push_back(w);
-  }
+  // One pump per engine; every state has num_shards() engines.
+  const std::size_t engines = engine_->num_shards();
   stats_->batch_size_hist.assign(options_.batcher.max_batch, 0);
 
   // The controller constructor validates every scheduler knob; queue,
@@ -133,17 +126,16 @@ ServingEngine::ServingEngine(core::ShardedNaiEngine& engine,
   // the one queue and the one cache hold what the engines' shares add up
   // to.
   controller_ = std::make_unique<AdmissionController>(
-      engines.size(), options_.scheduler, options_.batcher.max_batch,
+      engines, options_.scheduler, options_.batcher.max_batch,
       options_.batcher.max_wait_us);
   queue_ = std::make_unique<RequestQueue>(
-      options_.queue_capacity * engines.size(),
+      options_.queue_capacity * engines,
       QueuePolicy{options_.scheduler.priority,
                   options_.scheduler.priority_aging_us});
   if (options_.cache.enabled) {
-    cache_ = std::make_unique<ResultCache>(options_.cache.capacity *
-                                           engines.size());
+    cache_ = std::make_unique<ResultCache>(options_.cache.capacity * engines);
   }
-  for (const std::size_t w : engines) {
+  for (std::size_t w = 0; w < engines; ++w) {
     batchers_.push_back(
         std::make_unique<DynamicBatcher>(*queue_, options_.batcher));
     DynamicBatcher* batcher = batchers_.back().get();

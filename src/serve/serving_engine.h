@@ -188,7 +188,7 @@ class ServingEngine {
 
   /// Throws std::invalid_argument when a policy's config cannot be served
   /// by the engine's shards (ShardedNaiEngine::ValidateConfig — the pumps
-  /// bypass the routed entry points, so the check happens here, once)
+  /// bypass its entry points, so the check happens here, once)
   /// or when `options` is degenerate (zero queue capacity or batch size,
   /// negative wait, out-of-range scheduler knobs) — everything is
   /// validated on the caller's thread before any pump spawns.

@@ -296,19 +296,16 @@ void RunLoad(ServingEngine& server, const core::InferenceResult& ref_speed,
   }
 }
 
-/// The nodes shard 1 owns: a load confined to one shard's id range.
-std::vector<std::int32_t> ShardOneNodes(core::ShardedNaiEngine& engine) {
-  std::vector<std::int32_t> nodes;
-  for (const std::int32_t v : World().all_nodes) {
-    if (engine.sharded_graph().owner[v] == 1) nodes.push_back(v);
-  }
-  return nodes;
+/// The upper half of the node ids: a load confined to one id range.
+std::vector<std::int32_t> UpperHalfNodes() {
+  const std::vector<std::int32_t>& all = World().all_nodes;
+  return std::vector<std::int32_t>(all.begin() + all.size() / 2, all.end());
 }
 
-TEST(SchedulerServingTest, OneShardsLoadIsServedByEveryEngineBitExact) {
-  // All traffic targets shard 1's id range. Both pumps drain the one
-  // queue, so both engines serve it — speed-first and accuracy-first
-  // alike — and every answer must still be bit-identical to direct Infer.
+TEST(SchedulerServingTest, OneRangesLoadIsServedByEveryEngineBitExact) {
+  // All traffic targets one id range. Both pumps drain the one queue, so
+  // both engines serve it — speed-first and accuracy-first alike — and
+  // every answer must still be bit-identical to direct Infer.
   SmallWorld& w = World();
   const QosPolicyTable policies = MakePolicies();
   core::ShardedNaiEngine engine = MakeSharded(2);
@@ -316,7 +313,7 @@ TEST(SchedulerServingTest, OneShardsLoadIsServedByEveryEngineBitExact) {
       engine.Infer(w.all_nodes, policies.For(QosClass::kSpeedFirst).config);
   const core::InferenceResult ref_accuracy = engine.Infer(
       w.all_nodes, policies.For(QosClass::kAccuracyFirst).config);
-  const std::vector<std::int32_t> nodes = ShardOneNodes(engine);
+  const std::vector<std::int32_t> nodes = UpperHalfNodes();
   ASSERT_GT(nodes.size(), 50u);
 
   ServingOptions options;
@@ -362,7 +359,7 @@ TEST(SchedulerServingTest, SchedulerDisabledServesSameAnswers) {
   options.scheduler.priority = false;
   options.scheduler.adaptive = false;
   ServingEngine server(engine, policies, options);
-  RunLoad(server, ref_speed, ref_accuracy, ShardOneNodes(engine));
+  RunLoad(server, ref_speed, ref_accuracy, UpperHalfNodes());
   server.Shutdown();
   EXPECT_EQ(server.Stats().shed_adaptive, 0);
 }
