@@ -14,7 +14,9 @@
 //      identity-partition ServingEngine serves a Zipf-skewed closed loop
 //      from the mapped file, and per graph size we record the mapped vs
 //      mincore-resident store bytes (the working set), cache hit ratio and
-//      latency percentiles.
+//      latency percentiles, plus the store's write time (generation,
+//      checksum and msync) and the time of one verifying open (a full
+//      data-checksum pass over the freshly written, page-cached file).
 //
 // Flags: --threads N, --json PATH (default BENCH_outofcore.json),
 // --requests N (Zipf draws per scaled cell). NAI_SCALE shrinks the scaled
@@ -24,6 +26,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdarg>
 #include <cstdint>
 #include <cstdio>
@@ -45,6 +48,7 @@
 namespace {
 
 using namespace nai;
+using Clock = std::chrono::steady_clock;
 
 void Appendf(std::string& out, const char* fmt, ...) {
   char buf[512];
@@ -151,6 +155,8 @@ bool RunExactnessGate(int k) {
 // --- Stage 2: scaled out-of-core serving -----------------------------------
 
 struct ScaledCell {
+  double store_write_ms = 0.0;
+  double verify_open_ms = 0.0;
   std::int64_t nodes = 0;
   std::int64_t edges = 0;
   std::int64_t file_bytes = 0;
@@ -171,7 +177,13 @@ ScaledCell RunScaledCell(std::int64_t num_nodes, std::size_t num_requests,
   cfg.feature_dim = 32;
   cfg.seed = 4242;
   const std::string path = TempStorePath("scaled");
+  ScaledCell cell;
+  auto start = Clock::now();
   const std::int64_t m = graph::GenerateScaled(cfg, path);
+  cell.store_write_ms = bench::MsSince(start);
+  start = Clock::now();
+  { const storage::MmapStore verified(path); }
+  cell.verify_open_ms = bench::MsSince(start);
 
   // Open lazily: verifying the data checksum would fault every page in and
   // make the residency measurement meaningless.
@@ -225,7 +237,6 @@ ScaledCell RunScaledCell(std::int64_t num_nodes, std::size_t num_requests,
   const eval::ServingRunReport report = eval::RunServing(server, nodes, load);
   const serve::ServingStatsSnapshot stats = server.Stats();
 
-  ScaledCell cell;
   cell.nodes = num_nodes;
   cell.edges = m;
   cell.file_bytes =
@@ -270,9 +281,10 @@ int main(int argc, char** argv) {
   std::printf("\nscaled out-of-core serving (identity shard, Zipf 0.9, "
               "%zu requests per cell):\n",
               requests);
-  std::printf("  %-10s %-10s %-11s %-11s %-9s %-8s %-9s %-9s %-9s\n", "nodes",
-              "edges", "mapped MB", "res. MB", "res. %", "hit %", "qps",
-              "p50 ms", "p95 ms");
+  std::printf("  %-10s %-10s %-11s %-11s %-9s %-8s %-9s %-9s %-9s %-10s "
+              "%s\n",
+              "nodes", "edges", "mapped MB", "res. MB", "res. %", "hit %",
+              "qps", "p50 ms", "p95 ms", "write ms", "verify ms");
   std::vector<ScaledCell> cells;
   for (const std::int64_t n : sizes) {
     const ScaledCell cell = RunScaledCell(n, requests, kDepth, threads);
@@ -281,13 +293,13 @@ int main(int argc, char** argv) {
                                     static_cast<double>(cell.mapped_bytes)
                               : 0.0;
     std::printf("  %-10lld %-10lld %-11.1f %-11.1f %-9.1f %-8.1f %-9.0f "
-                "%-9.3f %-9.3f\n",
+                "%-9.3f %-9.3f %-10.1f %.1f\n",
                 static_cast<long long>(cell.nodes),
                 static_cast<long long>(cell.edges),
                 static_cast<double>(cell.mapped_bytes) / 1048576.0,
                 static_cast<double>(cell.resident_bytes) / 1048576.0, frac,
                 100.0 * cell.cache_hit_ratio, cell.achieved_qps, cell.p50_ms,
-                cell.p95_ms);
+                cell.p95_ms, cell.store_write_ms, cell.verify_open_ms);
     cells.push_back(cell);
   }
 
@@ -304,7 +316,8 @@ int main(int argc, char** argv) {
             "\"mapped_bytes\": %lld, \"resident_bytes\": %lld, "
             "\"residency_exact\": %s, \"cache_hit_ratio\": %.4f, "
             "\"requests\": %lld, \"achieved_qps\": %.2f, \"p50_ms\": %.4f, "
-            "\"p95_ms\": %.4f}",
+            "\"p95_ms\": %.4f, \"store_write_ms\": %.1f, "
+            "\"verify_open_ms\": %.1f}",
             i == 0 ? "" : ",", static_cast<long long>(c.nodes),
             static_cast<long long>(c.edges),
             static_cast<long long>(c.file_bytes),
@@ -312,7 +325,7 @@ int main(int argc, char** argv) {
             static_cast<long long>(c.resident_bytes),
             c.residency_exact ? "true" : "false", c.cache_hit_ratio,
             static_cast<long long>(c.requests), c.achieved_qps, c.p50_ms,
-            c.p95_ms);
+            c.p95_ms, c.store_write_ms, c.verify_open_ms);
   }
   json += "\n  ]\n}\n";
   if (std::FILE* out = std::fopen(json_path, "w")) {

@@ -1,6 +1,7 @@
 #ifndef NAI_BENCH_BENCH_UTIL_H_
 #define NAI_BENCH_BENCH_UTIL_H_
 
+#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -52,6 +53,13 @@ inline eval::PipelineConfig BenchPipelineConfig(
   cfg.distill.ensemble_size = 3;
   cfg.gate.epochs = 80;
   return cfg;
+}
+
+/// Milliseconds elapsed on the steady clock since `start`.
+inline double MsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - start)
+      .count();
 }
 
 inline void Banner(const std::string& title) {

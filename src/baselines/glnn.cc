@@ -39,9 +39,8 @@ void Glnn::Train(const tensor::Matrix& features,
     adam.ZeroGrad();
     const tensor::Matrix logits = mlp_.Forward(features, /*train=*/true,
                                                &rng_);
-    const nn::LossResult kd =
-        nn::SoftTargetCrossEntropy(logits, teacher_soft, T);
-    tensor::Matrix grad = kd.grad_logits;
+    tensor::Matrix grad =
+        nn::SoftTargetCrossEntropyGrad(logits, teacher_soft, T);
     tensor::ScaleInPlace(grad, config_.lambda * T * T);
     // Masked hard-label term.
     const tensor::Matrix probs = tensor::SoftmaxRows(logits);

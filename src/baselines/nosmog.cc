@@ -58,9 +58,8 @@ void Nosmog::Train(const graph::Graph& train_graph,
       }
     }
     const tensor::Matrix logits = mlp_.Forward(noisy, /*train=*/true, &rng_);
-    const nn::LossResult kd =
-        nn::SoftTargetCrossEntropy(logits, teacher_soft, T);
-    tensor::Matrix grad = kd.grad_logits;
+    tensor::Matrix grad =
+        nn::SoftTargetCrossEntropyGrad(logits, teacher_soft, T);
     tensor::ScaleInPlace(grad, config_.lambda * T * T);
     const tensor::Matrix probs = tensor::SoftmaxRows(logits);
     const float w =

@@ -14,29 +14,24 @@ namespace nai::core {
 
 namespace {
 
-/// Cross-entropy restricted to the `positions` rows of `logits` (the V_l
-/// subset); gradient rows outside `positions` are zero. Loss is averaged
-/// over |positions| (Eq. 16).
-nn::LossResult MaskedSoftmaxCrossEntropy(
+/// Gradient of the cross-entropy restricted to the `positions` rows of
+/// `logits` (the V_l subset), averaged over |positions| (Eq. 16); gradient
+/// rows outside `positions` are zero. No caller reads the loss value, so it
+/// is not computed.
+tensor::Matrix MaskedSoftmaxCrossEntropy(
     const tensor::Matrix& logits, const std::vector<std::int32_t>& labels,
     const std::vector<std::int32_t>& positions) {
   assert(!positions.empty());
-  nn::LossResult out;
-  out.grad_logits.Resize(logits.rows(), logits.cols());
+  tensor::Matrix grad(logits.rows(), logits.cols());
   const tensor::Matrix probs = tensor::SoftmaxRows(logits);
-  const tensor::Matrix log_probs = tensor::LogSoftmaxRows(logits);
   const float inv_n = 1.0f / static_cast<float>(positions.size());
-  double loss = 0.0;
   for (const std::int32_t i : positions) {
-    const std::int32_t y = labels[i];
-    loss -= log_probs.at(i, y);
-    float* g = out.grad_logits.row(i);
+    float* g = grad.row(i);
     const float* p = probs.row(i);
     for (std::size_t j = 0; j < logits.cols(); ++j) g[j] = p[j] * inv_n;
-    g[y] -= inv_n;
+    g[labels[i]] -= inv_n;
   }
-  out.loss = static_cast<float>(loss * inv_n);
-  return out;
+  return grad;
 }
 
 }  // namespace
@@ -54,7 +49,7 @@ InceptionDistillation::InceptionDistillation(ClassifierStack& classifiers,
   }
 }
 
-float InceptionDistillation::TrainHeadPlain(
+void InceptionDistillation::TrainHeadPlain(
     int l, const GatheredStack& train_feats,
     const std::vector<std::int32_t>& labels,
     const std::vector<std::int32_t>& labeled) {
@@ -62,24 +57,20 @@ float InceptionDistillation::TrainHeadPlain(
   nn::Adam adam({.learning_rate = config_.learning_rate,
                  .weight_decay = config_.weight_decay});
   adam.Register(classifiers_.HeadParameters(l));
-  float final_loss = 0.0f;
   for (int epoch = 0; epoch < config_.base_epochs; ++epoch) {
     adam.ZeroGrad();
     const tensor::Matrix logits =
         classifiers_.LogitsTrain(l, train_feats, rng);
-    const nn::LossResult loss =
-        MaskedSoftmaxCrossEntropy(logits, labels, labeled);
-    classifiers_.head(l).Backward(loss.grad_logits);
+    classifiers_.head(l).Backward(
+        MaskedSoftmaxCrossEntropy(logits, labels, labeled));
     adam.Step();
-    final_loss = loss.loss;
   }
-  return final_loss;
 }
 
-float InceptionDistillation::TrainBase(
+void InceptionDistillation::TrainBase(
     const GatheredStack& train_feats, const std::vector<std::int32_t>& labels,
     const std::vector<std::int32_t>& labeled) {
-  return TrainHeadPlain(classifiers_.depth(), train_feats, labels, labeled);
+  TrainHeadPlain(classifiers_.depth(), train_feats, labels, labeled);
 }
 
 void InceptionDistillation::SingleScale(
@@ -105,13 +96,10 @@ void InceptionDistillation::SingleScale(
       const tensor::Matrix logits =
           classifiers_.LogitsTrain(l, train_feats, rng);
       // L_single = (1-λ) L_c + λ T² L_d  (Eq. 17)
-      const nn::LossResult ce =
-          MaskedSoftmaxCrossEntropy(logits, labels, labeled);
-      const nn::LossResult kd =
-          nn::SoftTargetCrossEntropy(logits, teacher_soft, T);
-      tensor::Matrix grad = ce.grad_logits;
+      tensor::Matrix grad = MaskedSoftmaxCrossEntropy(logits, labels, labeled);
       tensor::ScaleInPlace(grad, 1.0f - lambda);
-      tensor::Axpy(grad, lambda * T * T, kd.grad_logits);
+      tensor::Axpy(grad, lambda * T * T,
+                   nn::SoftTargetCrossEntropyGrad(logits, teacher_soft, T));
       classifiers_.head(l).Backward(grad);
       adam.Step();
     }
@@ -204,13 +192,10 @@ void InceptionDistillation::MultiScale(
     for (int l = 1; l <= k - 1; ++l) {
       const tensor::Matrix logits =
           classifiers_.LogitsTrain(l, train_feats, rng);
-      const nn::LossResult ce =
-          MaskedSoftmaxCrossEntropy(logits, labels, labeled);
-      const nn::LossResult kd =
-          nn::SoftTargetCrossEntropy(logits, teacher_soft, T);
-      tensor::Matrix grad = ce.grad_logits;
+      tensor::Matrix grad = MaskedSoftmaxCrossEntropy(logits, labels, labeled);
       tensor::ScaleInPlace(grad, 1.0f - lambda);
-      tensor::Axpy(grad, lambda * T * T, kd.grad_logits);
+      tensor::Axpy(grad, lambda * T * T,
+                   nn::SoftTargetCrossEntropyGrad(logits, teacher_soft, T));
       classifiers_.head(l).Backward(grad);
     }
     adam.Step();

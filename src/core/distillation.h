@@ -44,17 +44,16 @@ class InceptionDistillation {
                         const DistillConfig& config);
 
   /// Step 2: trains f^(k) with cross-entropy on the labeled rows.
-  /// Returns the final training loss.
-  float TrainBase(const GatheredStack& train_feats,
-                  const std::vector<std::int32_t>& labels,
-                  const std::vector<std::int32_t>& labeled);
+  void TrainBase(const GatheredStack& train_feats,
+                 const std::vector<std::int32_t>& labels,
+                 const std::vector<std::int32_t>& labeled);
 
   /// Trains head `l` with plain cross-entropy (no distillation). Used for
   /// the "NAI w/o ID" ablation and as the fallback when both stages are
   /// disabled.
-  float TrainHeadPlain(int l, const GatheredStack& train_feats,
-                       const std::vector<std::int32_t>& labels,
-                       const std::vector<std::int32_t>& labeled);
+  void TrainHeadPlain(int l, const GatheredStack& train_feats,
+                      const std::vector<std::int32_t>& labels,
+                      const std::vector<std::int32_t>& labeled);
 
   /// Step 3: Single-Scale Distillation of f^(k) into f^(1..k-1).
   void SingleScale(const GatheredStack& train_feats,

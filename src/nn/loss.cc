@@ -30,23 +30,37 @@ LossResult SoftmaxCrossEntropy(const tensor::Matrix& logits,
   return out;
 }
 
+tensor::Matrix SoftTargetCrossEntropyGrad(const tensor::Matrix& logits,
+                                          const tensor::Matrix& targets,
+                                          float temperature) {
+  assert(logits.SameShape(targets));
+  assert(temperature > 0.0f);
+  tensor::Matrix grad = tensor::SoftmaxRows(logits, temperature);
+  const float inv_nt =
+      1.0f / (static_cast<float>(logits.rows()) * temperature);
+  for (std::size_t i = 0; i < logits.rows(); ++i) {
+    const float* t = targets.row(i);
+    float* g = grad.row(i);
+    for (std::size_t j = 0; j < logits.cols(); ++j) {
+      g[j] = (g[j] - t[j]) * inv_nt;
+    }
+  }
+  return grad;
+}
+
 LossResult SoftTargetCrossEntropy(const tensor::Matrix& logits,
                                   const tensor::Matrix& targets,
                                   float temperature) {
-  assert(logits.SameShape(targets));
-  assert(temperature > 0.0f);
   const std::size_t n = logits.rows();
   const std::size_t c = logits.cols();
   LossResult out;
-  out.grad_logits = tensor::SoftmaxRows(logits, temperature);
+  out.grad_logits = SoftTargetCrossEntropyGrad(logits, targets, temperature);
 
   // log softmax(z/T), computed stably from the scaled logits.
   double loss = 0.0;
-  const float inv_nt = 1.0f / (static_cast<float>(n) * temperature);
   for (std::size_t i = 0; i < n; ++i) {
     const float* z = logits.row(i);
     const float* t = targets.row(i);
-    float* g = out.grad_logits.row(i);
     float maxv = z[0] / temperature;
     for (std::size_t j = 1; j < c; ++j) {
       maxv = std::max(maxv, z[j] / temperature);
@@ -58,7 +72,6 @@ LossResult SoftTargetCrossEntropy(const tensor::Matrix& logits,
     const float lse = maxv + std::log(sum);
     for (std::size_t j = 0; j < c; ++j) {
       loss -= t[j] * (z[j] / temperature - lse);
-      g[j] = (g[j] - t[j]) * inv_nt;
     }
   }
   out.loss = static_cast<float>(loss / n);

@@ -29,6 +29,13 @@ LossResult SoftTargetCrossEntropy(const tensor::Matrix& logits,
                                   const tensor::Matrix& targets,
                                   float temperature);
 
+/// The gradient of SoftTargetCrossEntropy alone, bit-identical to its
+/// `grad_logits`, for training loops that never read the loss value (it
+/// skips the second exp pass the loss needs).
+tensor::Matrix SoftTargetCrossEntropyGrad(const tensor::Matrix& logits,
+                                          const tensor::Matrix& targets,
+                                          float temperature);
+
 /// Mean cross-entropy where the *prediction* is already a probability
 /// distribution (e.g. the ensemble teacher's z̄ in Eq. 20). Returns the loss
 /// and the gradient w.r.t. the probabilities themselves:

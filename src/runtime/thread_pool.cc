@@ -84,7 +84,8 @@ void ThreadPool::WorkerLoop() {
     // Participation is capped at the job's chunk count: a worker without a
     // slot goes straight back to waiting, and the submitter never waits on
     // it — small jobs on big pools don't pay a full wakeup barrier.
-    if (job_slots_.fetch_sub(1, std::memory_order_acq_rel) <= 0) continue;
+    if (job_slots_ <= 0) continue;
+    --job_slots_;
     const auto* fn = job_fn_;
     const std::size_t end = job_end_;
     const std::size_t chunk = job_chunk_;
@@ -132,12 +133,17 @@ void ThreadPool::ParallelFor(
     job_chunk_ = chunk;
     job_next_.store(begin, std::memory_order_relaxed);
     job_unfinished_ = helpers;
-    job_slots_.store(helpers, std::memory_order_relaxed);
+    job_slots_ = helpers;
     ++job_id_;
   }
   cv_start_.notify_all();
   RunChunks(fn, end, chunk);
   std::unique_lock<std::mutex> lock(mu_);
+  // Every chunk is claimed by now. A helper that has not yet woken and
+  // taken its slot would find nothing to run, so take its slot back rather
+  // than wait for its wakeup.
+  job_unfinished_ -= job_slots_;
+  job_slots_ = 0;
   cv_done_.wait(lock, [&] { return job_unfinished_ == 0; });
   job_fn_ = nullptr;
 }

@@ -94,7 +94,7 @@ class ThreadPool {
   std::size_t job_chunk_ = 1;
   int job_unfinished_ = 0;
   std::atomic<std::size_t> job_next_{0};
-  std::atomic<int> job_slots_{0};  // worker participation slots left
+  int job_slots_ = 0;  // worker participation slots not yet claimed
 
   std::mutex submit_mu_;  // one top-level ParallelFor at a time
 };

@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cerrno>
 #include <cstring>
 #include <string>
@@ -18,7 +19,8 @@ namespace nai::storage {
 namespace {
 
 constexpr char kMagic[8] = {'N', 'A', 'I', 'M', 'M', 'A', 'P', '1'};
-constexpr std::uint32_t kFormatVersion = 1;
+// Bump on any change to the layout or to StoreChecksum.
+constexpr std::uint32_t kFormatVersion = 2;
 constexpr std::int64_t kHeaderSize = 128;
 constexpr std::int64_t kSectionAlign = 64;
 
@@ -33,27 +35,23 @@ struct FileHeader {
   std::int64_t feature_dim;
   float gamma;
   std::uint32_t pad0;
-  std::uint64_t data_checksum;    // FNV-1a over [kHeaderSize, file_size)
-  std::uint64_t header_checksum;  // FNV-1a over header with this field = 0
+  std::uint64_t data_checksum;    // StoreChecksum of [kHeaderSize, file_size)
+  std::uint64_t header_checksum;  // StoreChecksum of header with this = 0
   unsigned char reserved[64];
 };
 static_assert(sizeof(FileHeader) == kHeaderSize,
               "store header must stay exactly 128 bytes");
 
-std::uint64_t Fnv1a(const unsigned char* data, std::size_t len,
-                    std::uint64_t seed = 14695981039346656037ULL) {
-  std::uint64_t h = seed;
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= data[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
 std::uint64_t HeaderChecksum(FileHeader header) {
   header.header_checksum = 0;
-  return Fnv1a(reinterpret_cast<const unsigned char*>(&header),
-               sizeof(FileHeader));
+  return StoreChecksum(reinterpret_cast<const unsigned char*>(&header),
+                       sizeof(FileHeader));
+}
+
+std::uint64_t DataChecksum(const unsigned char* map,
+                           const MmapLayout& layout) {
+  return StoreChecksum(map + kHeaderSize, static_cast<std::size_t>(
+                                              layout.file_size - kHeaderSize));
 }
 
 std::int64_t AlignUp(std::int64_t off) {
@@ -65,6 +63,21 @@ std::int64_t AlignUp(std::int64_t off) {
 }
 
 }  // namespace
+
+std::uint64_t StoreChecksum(const unsigned char* data, std::size_t len) {
+  static_assert(std::endian::native == std::endian::little,
+                "the store format is little-endian");
+  constexpr std::uint64_t kPrime = 1099511628211ULL;
+  std::uint64_t h = 14695981039346656037ULL;
+  const std::size_t words = len / 8;
+  for (std::size_t i = 0; i < words; ++i) {
+    std::uint64_t w;
+    std::memcpy(&w, data + 8 * i, sizeof(w));
+    h = (h ^ w) * kPrime;
+  }
+  for (std::size_t i = 8 * words; i < len; ++i) h = (h ^ data[i]) * kPrime;
+  return h;
+}
 
 MmapLayout MmapLayout::Make(std::int64_t num_nodes, std::int64_t adj_nnz,
                             std::int64_t feature_dim) {
@@ -159,9 +172,7 @@ void MmapStoreWriter::Finalize() {
   header.num_edges = layout_.adj_nnz / 2;
   header.feature_dim = layout_.feature_dim;
   header.gamma = gamma_;
-  header.data_checksum =
-      Fnv1a(map_ + kHeaderSize,
-            static_cast<std::size_t>(layout_.file_size - kHeaderSize));
+  header.data_checksum = DataChecksum(map_, layout_);
   header.header_checksum = HeaderChecksum(header);
   std::memcpy(map_, &header, sizeof(header));
   if (::msync(map_, static_cast<std::size_t>(layout_.file_size), MS_SYNC) !=
@@ -243,10 +254,7 @@ MmapStore::MmapStore(const std::string& path, Options options) : path_(path) {
   map_ = static_cast<unsigned char*>(m);
 
   if (options.verify_data) {
-    const std::uint64_t got =
-        Fnv1a(map_ + kHeaderSize,
-              static_cast<std::size_t>(layout_.file_size - kHeaderSize));
-    if (got != header.data_checksum) {
+    if (DataChecksum(map_, layout_) != header.data_checksum) {
       ::munmap(map_, static_cast<std::size_t>(layout_.file_size));
       map_ = nullptr;
       ::close(fd_);

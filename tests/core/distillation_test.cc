@@ -1,6 +1,7 @@
 #include "src/core/distillation.h"
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <vector>
@@ -27,8 +28,10 @@ TEST(DistillationTest, TrainBaseFitsTeacher) {
   DistillConfig cfg;
   cfg.base_epochs = 80;
   InceptionDistillation distiller(*w.classifiers, cfg);
-  const float loss =
-      distiller.TrainBase(w.all_feats, w.data.labels, w.all_nodes);
+  distiller.TrainBase(w.all_feats, w.data.labels, w.all_nodes);
+  const float loss = nn::SoftmaxCrossEntropy(
+                         w.classifiers->Logits(3, w.all_feats), w.data.labels)
+                         .loss;
   EXPECT_LT(loss, 1.0f);
   EXPECT_GT(HeadAccuracy(w, 3), 0.6f);
 }
@@ -202,6 +205,57 @@ TEST(DistillationTest, TrainAllBitExactAcrossSimdLevels) {
     EXPECT_NE(std::memcmp(init.data(), ref.data(), ref.size() * sizeof(float)),
               0)
         << models::ModelKindName(kind);
+  }
+}
+
+/// FNV-1a over the raw bytes of `values`.
+std::uint64_t HashFloats(const std::vector<float>& values) {
+  const auto* bytes = reinterpret_cast<const unsigned char*>(values.data());
+  std::uint64_t h = 14695981039346656037ULL;
+  for (std::size_t i = 0; i < values.size() * sizeof(float); ++i) {
+    h ^= bytes[i];
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+TEST(DistillationTest, TrainAllWeightsMatchGolden) {
+  // Pins the trained bits, not just their agreement across SIMD levels:
+  // the hashes were taken before the loss functions stopped computing the
+  // loss values nobody reads, so dropping that work provably moved no
+  // weight. Rows 60.. are unlabeled, so the masked cross-entropy and the
+  // all-row KD terms both matter. The third case disables both stages,
+  // which trains the shallow heads through TrainHeadPlain.
+  struct Case {
+    models::ModelKind kind;
+    bool stages;
+    std::uint64_t golden;
+  };
+  const Case cases[] = {
+      {models::ModelKind::kSgc, true, 0x5b52433c2160e626ULL},
+      {models::ModelKind::kGamlp, true, 0xf459bc862ef6166cULL},
+      {models::ModelKind::kSgc, false, 0x792ae3a60d02e4d9ULL},
+  };
+  for (const Case& c : cases) {
+    auto w = MakeSmallWorld(3, c.kind, 300, 0);
+    const std::vector<std::int32_t> labeled(w.all_nodes.begin(),
+                                            w.all_nodes.begin() + 60);
+    models::ModelConfig mc = w.config;
+    mc.hidden_dims = {20};
+    mc.dropout = 0.3f;
+    DistillConfig cfg;
+    cfg.base_epochs = 12;
+    cfg.single_epochs = 8;
+    cfg.multi_epochs = 6;
+    cfg.ensemble_size = 2;
+    cfg.enable_single = c.stages;
+    cfg.enable_multi = c.stages;
+    ClassifierStack stack(mc, 9);
+    InceptionDistillation(stack, cfg)
+        .TrainAll(w.all_feats, w.data.labels, labeled);
+    const std::uint64_t got = HashFloats(HeadParameterValues(stack));
+    EXPECT_EQ(got, c.golden)
+        << models::ModelKindName(c.kind) << " stages=" << c.stages;
   }
 }
 

@@ -1,6 +1,8 @@
 #include "src/runtime/thread_pool.h"
 
+#include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <cstdlib>
 #include <functional>
 #include <stdexcept>
@@ -109,6 +111,28 @@ TEST(ThreadPoolTest, SequentialJobsReuseWorkers) {
       sum.fetch_add(local);
     });
     EXPECT_EQ(sum.load(), 1000u * 999u / 2u);
+  }
+}
+
+TEST(ThreadPoolTest, ManyTinyTwoChunkJobsCoverEachIndexOnce) {
+  // Two chunks per job: the submitter usually drains both before its one
+  // helper wakes, so most jobs end with the helper's slot taken back.
+  // The counters are plain ints, so under ThreadSanitizer a helper write
+  // that does not happen-before the submitter's check is reported.
+  constexpr std::size_t kItems = 4096;
+  constexpr std::size_t kGrain = ThreadPool::kMinChunkWork / (kItems / 2);
+  ASSERT_EQ(ThreadPool::PlannedWorkers(kItems, kGrain, 2), 2u);
+  for (const int threads : {2, 4}) {
+    ThreadPool pool(threads);
+    std::vector<int> hits(kItems, 0);
+    for (int job = 1; job <= 3000; ++job) {
+      pool.ParallelFor(0, kItems, kGrain, [&](std::size_t b, std::size_t e) {
+        for (std::size_t i = b; i < e; ++i) ++hits[i];
+      });
+      ASSERT_EQ(std::count(hits.begin(), hits.end(), job),
+                static_cast<std::ptrdiff_t>(kItems))
+          << "threads " << threads << " job " << job;
+    }
   }
 }
 

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -34,6 +35,61 @@ struct PathGuard {
   std::string path;
   ~PathGuard() { ::unlink(path.c_str()); }
 };
+
+std::vector<unsigned char> ReadBytes(const std::string& path) {
+  std::FILE* in = std::fopen(path.c_str(), "rb");
+  if (in == nullptr) return {};
+  std::fseek(in, 0, SEEK_END);
+  std::vector<unsigned char> bytes(static_cast<std::size_t>(std::ftell(in)));
+  std::fseek(in, 0, SEEK_SET);
+  const std::size_t got = std::fread(bytes.data(), 1, bytes.size(), in);
+  std::fclose(in);
+  bytes.resize(got);
+  return bytes;
+}
+
+/// Writes a fresh file at `path`. Unlinking first rather than truncating
+/// keeps the filesystem from flushing the old contents on every rewrite.
+void WriteBytes(const std::string& path, const unsigned char* data,
+                std::size_t len) {
+  ::unlink(path.c_str());
+  std::FILE* out = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(out, nullptr);
+  ASSERT_EQ(std::fwrite(data, 1, len, out), len);
+  std::fclose(out);
+}
+
+/// True iff opening `path` throws IoError.
+bool OpenThrowsIoError(const std::string& path, bool verify_data) {
+  MmapStore::Options options;
+  options.verify_data = verify_data;
+  try {
+    MmapStore store(path, options);
+  } catch (const IoError&) {
+    return true;
+  }
+  return false;
+}
+
+/// One data section of the layout: name, first byte, byte length.
+struct Section {
+  const char* name;
+  std::int64_t offset;
+  std::int64_t bytes;
+};
+
+std::vector<Section> Sections(const MmapLayout& l) {
+  const std::int64_t n = l.num_nodes;
+  return {
+      {"adj_row_ptr", l.adj_row_ptr_off, (n + 1) * 8},
+      {"adj_col_idx", l.adj_col_idx_off, l.adj_nnz * 4},
+      {"norm_row_ptr", l.norm_row_ptr_off, (n + 1) * 8},
+      {"norm_col_idx", l.norm_col_idx_off, l.norm_nnz() * 4},
+      {"norm_values", l.norm_values_off, l.norm_nnz() * 4},
+      {"features", l.features_off, n * l.feature_dim * 4},
+      {"stationary", l.stationary_off, l.feature_dim * 4},
+  };
+}
 
 std::shared_ptr<MemStore> MakeMemStore(std::int64_t n = 200,
                                        std::uint64_t seed = 3) {
@@ -100,68 +156,116 @@ TEST(MmapStoreTest, RejectsMissingWrongMagicAndTruncated) {
   auto mem = MakeMemStore(64);
   PathGuard file{TempPath("reject")};
   SaveStore(*mem, *mem, file.path);
+  const std::vector<unsigned char> good = ReadBytes(file.path);
+  const MmapLayout layout = MmapLayout::Make(64, 2 * mem->num_edges(), 12);
+  ASSERT_EQ(static_cast<std::int64_t>(good.size()), layout.file_size);
+  PathGuard bad{TempPath("bad")};
 
-  // Wrong magic: flip the first byte.
-  {
-    std::FILE* f = std::fopen(file.path.c_str(), "r+b");
-    ASSERT_NE(f, nullptr);
-    char c;
-    ASSERT_EQ(std::fread(&c, 1, 1, f), 1u);
-    c ^= 0x40;
-    std::fseek(f, 0, SEEK_SET);
-    ASSERT_EQ(std::fwrite(&c, 1, 1, f), 1u);
-    std::fclose(f);
-    EXPECT_THROW(MmapStore(file.path), IoError);
-    // Restore.
-    f = std::fopen(file.path.c_str(), "r+b");
-    c ^= 0x40;
-    ASSERT_EQ(std::fwrite(&c, 1, 1, f), 1u);
-    std::fclose(f);
+  // Wrong magic: the first byte flipped.
+  std::vector<unsigned char> bytes = good;
+  bytes[0] ^= 0x40;
+  WriteBytes(bad.path, bytes.data(), bytes.size());
+  EXPECT_THROW(MmapStore(bad.path), IoError);
+  MmapStore(file.path);  // the untouched file opens
+
+  // Truncated at every section boundary, inside the header and short of
+  // the end: rejected by size before any data byte is read.
+  std::vector<std::int64_t> cuts = {0, 8, 64, 127, 128,
+                                    layout.file_size - 64,
+                                    layout.file_size - 1};
+  for (const Section& section : Sections(layout)) {
+    cuts.push_back(section.offset);
+    cuts.push_back(section.offset + section.bytes);
   }
-  MmapStore(file.path);  // restored file opens again
+  for (const std::int64_t size : cuts) {
+    if (size >= layout.file_size) continue;  // the stationary end is EOF
+    WriteBytes(bad.path, good.data(), static_cast<std::size_t>(size));
+    EXPECT_TRUE(OpenThrowsIoError(bad.path, true)) << "cut at " << size;
+    EXPECT_TRUE(OpenThrowsIoError(bad.path, false)) << "cut at " << size;
+  }
 
-  // Truncated: copy all but the last 64 bytes.
-  {
-    std::FILE* in = std::fopen(file.path.c_str(), "rb");
-    ASSERT_NE(in, nullptr);
-    std::fseek(in, 0, SEEK_END);
-    const long size = std::ftell(in);
-    std::fseek(in, 0, SEEK_SET);
-    std::vector<char> bytes(static_cast<std::size_t>(size));
-    ASSERT_EQ(std::fread(bytes.data(), 1, bytes.size(), in), bytes.size());
-    std::fclose(in);
-    PathGuard trunc{TempPath("truncated")};
-    std::FILE* out = std::fopen(trunc.path.c_str(), "wb");
-    ASSERT_NE(out, nullptr);
-    std::fwrite(bytes.data(), 1, bytes.size() - 64, out);
-    std::fclose(out);
-    EXPECT_THROW(MmapStore(trunc.path), IoError);
+  // A genuine version-1 file (byte-wise FNV-1a checksums) is refused by
+  // its version, not reported as corrupt.
+  auto fnv1a_bytes = [](const unsigned char* data, std::size_t len) {
+    std::uint64_t h = 14695981039346656037ULL;
+    for (std::size_t i = 0; i < len; ++i) h = (h ^ data[i]) * 1099511628211ULL;
+    return h;
+  };
+  bytes = good;
+  const std::uint32_t version = 1;
+  std::memcpy(bytes.data() + 8, &version, sizeof(version));
+  const std::uint64_t data_sum =
+      fnv1a_bytes(bytes.data() + 128, bytes.size() - 128);
+  std::memcpy(bytes.data() + 48, &data_sum, sizeof(data_sum));
+  std::memset(bytes.data() + 56, 0, 8);
+  const std::uint64_t header_sum = fnv1a_bytes(bytes.data(), 128);
+  std::memcpy(bytes.data() + 56, &header_sum, sizeof(header_sum));
+  WriteBytes(bad.path, bytes.data(), bytes.size());
+  try {
+    MmapStore store(bad.path);
+    ADD_FAILURE() << "a version-1 store opened";
+  } catch (const IoError& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported format version 1"),
+              std::string::npos)
+        << e.what();
   }
 }
 
 TEST(MmapStoreTest, DataCorruptionCaughtByChecksumOnly) {
+  // Seeded single-byte flips: in every section they are caught by the data
+  // checksum alone, so a verifying open throws and a lazy one does not; in
+  // the header even a lazy open throws (magic, version or header
+  // checksum).
   auto mem = MakeMemStore(64);
   PathGuard file{TempPath("corrupt")};
   SaveStore(*mem, *mem, file.path);
-
-  // Flip one bit in the feature section (well past the header).
-  {
-    std::FILE* f = std::fopen(file.path.c_str(), "r+b");
-    ASSERT_NE(f, nullptr);
-    std::fseek(f, 0, SEEK_END);
-    const long size = std::ftell(f);
-    std::fseek(f, size - 128, SEEK_SET);
-    char c;
-    ASSERT_EQ(std::fread(&c, 1, 1, f), 1u);
-    c ^= 0x01;
-    std::fseek(f, size - 128, SEEK_SET);
-    ASSERT_EQ(std::fwrite(&c, 1, 1, f), 1u);
-    std::fclose(f);
+  const std::vector<unsigned char> good = ReadBytes(file.path);
+  const MmapLayout layout = MmapLayout::Make(64, 2 * mem->num_edges(), 12);
+  ASSERT_EQ(static_cast<std::int64_t>(good.size()), layout.file_size);
+  std::mt19937_64 rng(20250);
+  PathGuard flipped{TempPath("flipped")};
+  auto flip_at = [&](std::int64_t pos) {
+    std::vector<unsigned char> bytes = good;
+    const auto mask = static_cast<unsigned char>(1 + rng() % 255);
+    bytes[static_cast<std::size_t>(pos)] ^= mask;
+    WriteBytes(flipped.path, bytes.data(), bytes.size());
+  };
+  for (int i = 0; i < 16; ++i) {
+    const auto pos = static_cast<std::int64_t>(rng() % 128);
+    flip_at(pos);
+    EXPECT_TRUE(OpenThrowsIoError(flipped.path, false)) << "header " << pos;
   }
-  EXPECT_THROW(MmapStore(file.path), IoError);  // verify_data default on
-  MmapStore::Options lazy;
-  lazy.verify_data = false;
-  MmapStore(file.path, lazy);  // header is intact, so a lazy open succeeds
+  for (const Section& section : Sections(layout)) {
+    ASSERT_GT(section.bytes, 0) << section.name;
+    for (int i = 0; i < 8; ++i) {
+      const std::int64_t pos =
+          section.offset +
+          static_cast<std::int64_t>(rng() %
+                                    static_cast<std::uint64_t>(section.bytes));
+      flip_at(pos);
+      EXPECT_TRUE(OpenThrowsIoError(flipped.path, true))
+          << section.name << " byte " << pos;
+      EXPECT_FALSE(OpenThrowsIoError(flipped.path, false))
+          << section.name << " byte " << pos;
+    }
+  }
+}
+
+TEST(MmapStoreTest, ChecksumIsWordWiseFnv1aGolden) {
+  // Pins the format-v2 checksum: a change here must come with a format
+  // version bump. 203 bytes = 25 little-endian words and a 3-byte tail.
+  std::vector<unsigned char> buf(203);
+  for (std::size_t i = 0; i < buf.size(); ++i) {
+    buf[i] = static_cast<unsigned char>(i * 37 + 11);
+  }
+  EXPECT_EQ(StoreChecksum(buf.data(), buf.size()), 0x1166a231455e7384ULL);
+  EXPECT_EQ(StoreChecksum(buf.data(), 0), 14695981039346656037ULL);
+  // One word: (basis ^ w) * prime, w read little-endian.
+  const std::uint64_t w = 0x1122334455667788ULL;
+  unsigned char le[8];
+  for (int b = 0; b < 8; ++b) le[b] = static_cast<unsigned char>(w >> (8 * b));
+  EXPECT_EQ(StoreChecksum(le, 8),
+            (14695981039346656037ULL ^ w) * 1099511628211ULL);
 }
 
 TEST(MmapStoreTest, ResidencyPartitionsTheFileWithoutDoubleCounting) {
