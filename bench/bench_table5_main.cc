@@ -2,7 +2,18 @@
 // dataset presets — ACC / mMACs/node / FP mMACs/node / Time / FP Time for
 // vanilla SGC, GLNN, NOSMOG, TinyGNN, Quantization, NAId and NAIg
 // (speed-first setting, batch size 500).
+//
+// Exits nonzero when, on any dataset, NAId or NAIg falls below a
+// kMinFpMacSpeedup FP-MAC speedup over SGC or loses more than
+// kMaxAccuracyGapPoints of SGC's accuracy, or when a setting that leaves
+// NAP room to act (t_min < t_max) exits fewer than kMinEarlyExitShare of
+// the test nodes before T_max. The last check is what catches a NAP that
+// never fires: the speed-first T_max of 2 alone already clears the
+// speedup bound. The gate reads only MACs, exit depths and accuracy, which
+// are bit-exact across threads, shards and SIMD levels; it is calibrated
+// for NAI_SCALE=1 (smaller scales widen the accuracy gaps).
 
+#include <cstdint>
 #include <cstdio>
 #include <vector>
 
@@ -14,7 +25,48 @@ namespace {
 
 using namespace nai;
 
-void RunDataset(const eval::DatasetSpec& spec, int shards) {
+constexpr double kMinFpMacSpeedup = 4.0;
+constexpr double kMaxAccuracyGapPoints = 6.0;
+constexpr double kMinEarlyExitShare = 0.05;
+
+/// Checks one NAI run of `config` against vanilla SGC; prints and returns
+/// the verdict.
+bool PassesGate(const eval::EvalRow& sgc, const eval::MethodResult& nai,
+                const core::InferenceConfig& config) {
+  const double speedup =
+      bench::Ratio(sgc.fp_mmacs_per_node, nai.row.fp_mmacs_per_node);
+  const double gap_points = 100.0 * (sgc.accuracy - nai.row.accuracy);
+  // exits_at_depth[d - 1] counts the nodes that stopped at depth d.
+  const std::vector<std::int64_t>& exits = nai.stats.exits_at_depth;
+  const std::size_t cap =
+      config.t_max > 0 ? static_cast<std::size_t>(config.t_max) : exits.size();
+  std::int64_t total = 0;
+  std::int64_t early = 0;
+  for (std::size_t d = 0; d < exits.size(); ++d) {
+    total += exits[d];
+    if (d + 1 < cap) early += exits[d];
+  }
+  const double early_share =
+      total > 0 ? static_cast<double>(early) / static_cast<double>(total)
+                : 0.0;
+  const bool nap_room = config.t_min < config.t_max;
+  const bool pass = speedup >= kMinFpMacSpeedup &&
+                    gap_points <= kMaxAccuracyGapPoints &&
+                    (!nap_room || early_share >= kMinEarlyExitShare);
+  std::printf("gate %-5s FP MACs x%.2f (min x%.1f)  accuracy gap %.2f pts "
+              "(max %.1f)  early exits %.1f%% ",
+              nai.row.method.c_str(), speedup, kMinFpMacSpeedup, gap_points,
+              kMaxAccuracyGapPoints, 100.0 * early_share);
+  if (nap_room) {
+    std::printf("(min %.1f%%)", 100.0 * kMinEarlyExitShare);
+  } else {
+    std::printf("(unchecked: t_min = t_max)");
+  }
+  std::printf("  %s\n", pass ? "PASS" : "FAIL");
+  return pass;
+}
+
+bool RunDataset(const eval::DatasetSpec& spec, int shards) {
   bench::Banner("Table V — " + spec.name + " (base model SGC)");
   const eval::PreparedDataset ds = eval::Prepare(spec);
   std::printf("n=%lld m=%lld f=%zu c=%d | train=%zu labeled=%zu val=%zu test=%zu\n",
@@ -85,6 +137,9 @@ void RunDataset(const eval::DatasetSpec& spec, int shards) {
       bench::Ratio(rows[0].fp_mmacs_per_node, naig.row.fp_mmacs_per_node),
       bench::Ratio(rows[0].time_ms, naig.row.time_ms),
       bench::Ratio(rows[0].fp_time_ms, naig.row.fp_time_ms));
+  const bool naid_ok = PassesGate(vanilla.row, naid, napd);
+  const bool naig_ok = PassesGate(vanilla.row, naig, napg);
+  return naid_ok && naig_ok;
 }
 
 }  // namespace
@@ -93,8 +148,12 @@ int main(int argc, char** argv) {
   nai::bench::ApplyThreadsFlag(argc, argv);
   const int shards = nai::bench::ApplyShardsFlag(argc, argv);
   const double scale = nai::eval::EnvScale();
-  RunDataset(nai::eval::FlickrSim(scale), shards);
-  RunDataset(nai::eval::ArxivSim(scale), shards);
-  RunDataset(nai::eval::ProductsSim(scale), shards);
+  bool pass = RunDataset(nai::eval::FlickrSim(scale), shards);
+  pass = RunDataset(nai::eval::ArxivSim(scale), shards) && pass;
+  pass = RunDataset(nai::eval::ProductsSim(scale), shards) && pass;
+  if (!pass) {
+    std::fprintf(stderr, "bench_table5_main: Table V gate FAILED\n");
+    return 1;
+  }
   return 0;
 }

@@ -38,12 +38,11 @@ int main(int argc, char** argv) {
   serve::ServingOptions options;
   options.batcher.max_batch = 32;
   options.batcher.max_wait_us = 500;
-  // The adaptive scheduler defaults on; spelled out here as the knobs a
-  // deployment would tune. Speed-first bypasses queued accuracy-first work
+  // The adaptive scheduler defaults on; spelled out here as the switches a
+  // deployment would flip. Speed-first bypasses queued accuracy-first work
   // (bounded at 5ms of bypassing), and the admission controller retunes
   // the 500us window to the observed arrival rate within [0, 2ms].
   options.scheduler.priority = true;
-  options.scheduler.priority_aging_us = 5000;
   options.scheduler.adaptive = true;
   serve::ServingEngine server(*sharded, policies, options);
   std::printf("serving %lld nodes from %d shards "

@@ -15,17 +15,6 @@ std::int64_t FixedDepthPropagationMacs(const graph::BatchSupport& support,
   return macs;
 }
 
-double AverageDepth(const std::vector<std::int64_t>& exits_at_depth) {
-  std::int64_t weighted = 0, total = 0;
-  for (std::size_t l = 0; l < exits_at_depth.size(); ++l) {
-    weighted += static_cast<std::int64_t>(l + 1) * exits_at_depth[l];
-    total += exits_at_depth[l];
-  }
-  return total == 0 ? 0.0
-                    : static_cast<double>(weighted) /
-                          static_cast<double>(total);
-}
-
 core::ComplexityParams ParamsFromStats(const core::InferenceStats& stats,
                                        std::int64_t feature_dim,
                                        std::int64_t classifier_layers,

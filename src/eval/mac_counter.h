@@ -2,7 +2,6 @@
 #define NAI_EVAL_MAC_COUNTER_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "src/core/complexity.h"
 #include "src/core/inference.h"
@@ -16,9 +15,6 @@ namespace nai::eval {
 /// touched-edge count).
 std::int64_t FixedDepthPropagationMacs(const graph::BatchSupport& support,
                                        int depth, std::int64_t feature_dim);
-
-/// Average personalized depth q from an exit histogram (Table I's q).
-double AverageDepth(const std::vector<std::int64_t>& exits_at_depth);
 
 /// Builds Table-I symbolic parameters from a measured inference run, so the
 /// analytic formulas can be cross-checked against engine counters:

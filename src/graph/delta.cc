@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <string>
 
@@ -17,6 +18,14 @@ using Clock = std::chrono::steady_clock;
 double MsSince(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start)
       .count();
+}
+
+/// True iff no value of `row` is NaN or infinite. One such feature would
+/// turn the pooled stationary vector NaN, and every NAPd distance check
+/// with it.
+bool AllFinite(const std::vector<float>& row) {
+  return std::all_of(row.begin(), row.end(),
+                     [](float x) { return std::isfinite(x); });
 }
 
 /// True iff {u, v} is an edge of the adjacency view (sorted rows).
@@ -120,6 +129,10 @@ std::shared_ptr<const GraphSnapshot> SnapshotBuilder::Apply(
           "SnapshotBuilder: node insert has " + std::to_string(row.size()) +
           " features, snapshot width is " + std::to_string(f));
     }
+    if (!AllFinite(row)) {
+      throw ValidationError(
+          "SnapshotBuilder: node insert has a NaN or infinite feature");
+    }
   }
   for (const auto& [u, v] : delta.edge_inserts) {
     if (u < 0 || v < 0 || u >= n_new || v >= n_new) {
@@ -140,6 +153,11 @@ std::shared_ptr<const GraphSnapshot> SnapshotBuilder::Apply(
           "SnapshotBuilder: feature update for node " + std::to_string(node) +
           " has " + std::to_string(row.size()) + " features, snapshot width is " +
           std::to_string(f));
+    }
+    if (!AllFinite(row)) {
+      throw ValidationError("SnapshotBuilder: feature update for node " +
+                            std::to_string(node) +
+                            " has a NaN or infinite feature");
     }
   }
 

@@ -2,7 +2,6 @@
 
 #include "src/runtime/error.h"
 
-#include <fstream>
 #include <stdexcept>
 
 #include "src/io/serialize.h"
@@ -95,20 +94,6 @@ core::StationaryState LoadStationaryState(std::istream& is,
   const float gamma = ReadF32(is);
   tensor::Matrix pooled = ReadMatrix(is);
   return core::StationaryState::FromPooled(graph, std::move(pooled), gamma);
-}
-
-void SaveClassifierStackFile(const std::string& path,
-                             core::ClassifierStack& stack) {
-  std::ofstream os(path, std::ios::binary);
-  if (!os) throw IoError("cannot open for write: " + path);
-  SaveClassifierStack(os, stack);
-}
-
-void LoadClassifierStackFile(const std::string& path,
-                             core::ClassifierStack& stack) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) throw IoError("cannot open for read: " + path);
-  LoadClassifierStack(is, stack);
 }
 
 }  // namespace nai::io

@@ -3,7 +3,6 @@
 
 #include <istream>
 #include <ostream>
-#include <string>
 
 #include "src/core/classifier_stack.h"
 #include "src/core/nap_gate.h"
@@ -32,12 +31,6 @@ void LoadGateStack(std::istream& is, core::GateStack& gates);
 void SaveStationaryState(std::ostream& os, const core::StationaryState& state);
 core::StationaryState LoadStationaryState(std::istream& is,
                                           const graph::Graph& graph);
-
-/// Convenience: file-path wrappers. Throw on IO errors.
-void SaveClassifierStackFile(const std::string& path,
-                             core::ClassifierStack& stack);
-void LoadClassifierStackFile(const std::string& path,
-                             core::ClassifierStack& stack);
 
 }  // namespace nai::io
 

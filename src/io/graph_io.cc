@@ -4,12 +4,16 @@
 
 #include <algorithm>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
 namespace nai::io {
 
 namespace {
+
+constexpr std::int64_t kMaxNodeId =
+    std::numeric_limits<std::int32_t>::max() - 1;
 
 [[noreturn]] void ParseError(const std::string& what, std::int64_t line) {
   throw IoError("parse error at line " + std::to_string(line) +
@@ -44,6 +48,10 @@ graph::Graph ReadEdgeList(std::istream& is, std::int64_t num_nodes) {
     std::int64_t u, v;
     if (!(ls >> u >> v)) ParseError("expected 'u v'", line_no);
     if (u < 0 || v < 0) ParseError("negative node id", line_no);
+    // Ids are int32 and the node count (max id + 1) must be one too.
+    if (u > kMaxNodeId || v > kMaxNodeId) {
+      ParseError("node id above " + std::to_string(kMaxNodeId), line_no);
+    }
     if (num_nodes >= 0 && (u >= num_nodes || v >= num_nodes)) {
       ParseError("node id exceeds declared node count", line_no);
     }

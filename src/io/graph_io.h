@@ -15,8 +15,9 @@ namespace nai::io {
 /// on real data without writing any glue code:
 ///
 ///  * edge list: one "u v" pair per line (whitespace separated), '#'
-///    comments and blank lines ignored; node ids are 0-based. The node
-///    count is max id + 1 unless `num_nodes` overrides it.
+///    comments and blank lines ignored; node ids are 0-based and at most
+///    INT32_MAX - 1. The node count is max id + 1 unless `num_nodes`
+///    overrides it.
 ///  * features: one node per line, f whitespace-separated floats.
 ///  * labels: one integer per line.
 ///

@@ -3,16 +3,14 @@
 #include <stdexcept>
 #include <utility>
 
+#include "src/serve/scheduler.h"
+
 namespace nai::serve {
 
 RequestQueue::RequestQueue(std::size_t capacity, QueuePolicy policy)
     : capacity_(capacity), policy_(policy) {
   if (capacity == 0) {
     throw std::invalid_argument("RequestQueue: capacity must be positive");
-  }
-  if (policy_.aging_us < 0) {
-    throw std::invalid_argument(
-        "RequestQueue: aging_us must be non-negative");
   }
 }
 
@@ -45,7 +43,7 @@ int RequestQueue::PickClassLocked(ServeClock::time_point now) const {
   // Bypass the oldest (lower-priority) head only while it is younger than
   // the aging bound; past it, seniority beats class.
   const auto age = now - items_[oldest].front().request.admitted;
-  return age >= std::chrono::microseconds(policy_.aging_us) ? oldest : first;
+  return age >= std::chrono::microseconds(kPriorityAgingUs) ? oldest : first;
 }
 
 Request RequestQueue::PopPickedLocked(int cls) {

@@ -62,13 +62,12 @@ struct Request {
 /// With `priority` off, pops follow global arrival order (FIFO). With it
 /// on, speed-first requests bypass queued accuracy-first work — but only
 /// while the oldest accuracy-first request has been waiting less than
-/// `aging_us` since its admission. Once that bound is exceeded the oldest
-/// request wins regardless of class, so the bypassed class's extra
-/// queueing delay is capped at aging_us plus one batch: it can be
-/// overtaken, never starved. `aging_us = 0` therefore degenerates to FIFO.
+/// kPriorityAgingUs (src/serve/scheduler.h) since its admission. Once that
+/// bound is exceeded the oldest request wins regardless of class, so the
+/// bypassed class's extra queueing delay is capped at the aging bound plus
+/// one batch: it can be overtaken, never starved.
 struct QueuePolicy {
   bool priority = false;
-  std::int64_t aging_us = 5000;
 };
 
 /// A bounded MPMC queue of requests — the admission point of the serving

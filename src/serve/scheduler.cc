@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <string>
 
 namespace nai::serve {
 
@@ -19,22 +18,7 @@ AdmissionController::AdmissionController(std::size_t num_engines,
   if (num_engines_ == 0) {
     throw std::invalid_argument("AdmissionController: no engines");
   }
-  if (!(options_.ewma_alpha > 0.0) || options_.ewma_alpha > 1.0) {
-    throw std::invalid_argument(
-        "SchedulerOptions: ewma_alpha must be in (0, 1], got " +
-        std::to_string(options_.ewma_alpha));
-  }
-  if (options_.priority_aging_us < 0) {
-    throw std::invalid_argument(
-        "SchedulerOptions: priority_aging_us must be non-negative");
-  }
-  if (options_.min_wait_us < 0 ||
-      options_.min_wait_us > options_.max_wait_us_bound) {
-    throw std::invalid_argument(
-        "SchedulerOptions: need 0 <= min_wait_us <= max_wait_us_bound");
-  }
-  wait_us_.store(std::clamp(base_wait_us_, options_.min_wait_us,
-                            options_.max_wait_us_bound),
+  wait_us_.store(std::clamp(base_wait_us_, kMinWaitUs, kMaxWaitUsBound),
                  std::memory_order_relaxed);
   trace_.reserve(kTraceCapacity);
 }
@@ -80,8 +64,7 @@ void AdmissionController::RecordArrival(SchedClock::time_point now) {
       ewma_gap_us_ = gap_us;
       ewma_gap_seeded_ = true;
     } else {
-      ewma_gap_us_ = options_.ewma_alpha * gap_us +
-                     (1.0 - options_.ewma_alpha) * ewma_gap_us_;
+      ewma_gap_us_ = kEwmaAlpha * gap_us + (1.0 - kEwmaAlpha) * ewma_gap_us_;
     }
   }
   has_arrival_ = true;
@@ -101,15 +84,15 @@ void AdmissionController::RecordBatch(std::size_t engine, std::size_t served,
     ewma_service_us_ =
         ewma_service_us_ <= 0.0
             ? per_request_us
-            : options_.ewma_alpha * per_request_us +
-                  (1.0 - options_.ewma_alpha) * ewma_service_us_;
+            : kEwmaAlpha * per_request_us +
+                  (1.0 - kEwmaAlpha) * ewma_service_us_;
 
     event.engine = engine;
     event.arrival_qps = ArrivalQpsLocked();
     event.service_qps = ServiceQpsLocked();
     event.batch_wait_us =
-        AdaptWaitUs(event.arrival_qps, max_batch_, base_wait_us_,
-                    options_.min_wait_us, options_.max_wait_us_bound);
+        AdaptWaitUs(event.arrival_qps, max_batch_, base_wait_us_, kMinWaitUs,
+                    kMaxWaitUsBound);
     event.applied_wait_us = applied_wait_us;
     event.admit_limit = last_admit_limit_;
     wait_us_.store(event.batch_wait_us, std::memory_order_relaxed);

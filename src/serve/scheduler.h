@@ -18,26 +18,25 @@ using SchedClock = std::chrono::steady_clock;
 /// The two mechanisms are independent and individually disableable so a
 /// deployment (or a bench A/B) can isolate each one:
 ///   * `priority` — speed-first requests bypass queued accuracy-first work,
-///     bounded by `priority_aging_us` so the bypassed class cannot starve.
+///     bounded by kPriorityAgingUs so the bypassed class cannot starve.
 ///   * `adaptive` — the admission controller tracks the arrival rate per
 ///     engine and the per-request service time (EWMAs) and adapts the
 ///     batchers' coalescing window and TrySubmit shedding to them.
 struct SchedulerOptions {
   bool priority = true;
-  /// Longest a queued accuracy-first request may be bypassed by later
-  /// speed-first arrivals, measured from its admission. Once exceeded the
-  /// oldest request wins regardless of class; 0 therefore degenerates to
-  /// arrival-order FIFO (no bypass at all).
-  std::int64_t priority_aging_us = 5000;
-
   bool adaptive = true;
-  /// Weight of the newest sample in the arrival/service EWMAs (0, 1].
-  double ewma_alpha = 0.2;
-  /// Bounds of the adapted coalescing window. The controller never moves
-  /// `max_wait_us` outside [min_wait_us, max_wait_us_bound].
-  std::int64_t min_wait_us = 0;
-  std::int64_t max_wait_us_bound = 2000;
 };
+
+/// Longest a queued accuracy-first request may be bypassed by later
+/// speed-first arrivals, measured from its admission. Once exceeded the
+/// oldest request wins regardless of class.
+inline constexpr std::int64_t kPriorityAgingUs = 5000;
+/// Weight of the newest sample in the arrival/service EWMAs.
+inline constexpr double kEwmaAlpha = 0.2;
+/// Bounds of the adapted coalescing window: the controller never moves it
+/// outside [kMinWaitUs, kMaxWaitUsBound].
+inline constexpr std::int64_t kMinWaitUs = 0;
+inline constexpr std::int64_t kMaxWaitUsBound = 2000;
 
 /// Point-in-time adaptation state, exposed through
 /// ServingStatsSnapshot::scheduler.
@@ -62,11 +61,11 @@ struct SchedulerTraceEvent {
   /// The window the controller derived at this step — what the *next*
   /// batch will coalesce under.
   std::int64_t batch_wait_us = 0;
-  /// The window the recorded batch *actually* coalesced under (read at its
-  /// window-open). This is what distinguishes the trace from a guess: a
-  /// retune lands mid-window without affecting the batch already open, so
-  /// `applied_wait_us` of the next event typically equals `batch_wait_us`
-  /// of this one, not of itself.
+  /// The window the recorded batch *actually* coalesced under (read once by
+  /// its pump, before the batch opened). This is what distinguishes the
+  /// trace from a guess: a retune lands mid-window without affecting the
+  /// batch already open, so `applied_wait_us` of the next event typically
+  /// equals `batch_wait_us` of this one, not of itself.
   std::int64_t applied_wait_us = -1;
   std::int64_t admit_limit = -1;
 };
@@ -90,9 +89,7 @@ class AdmissionController {
   static constexpr std::size_t kTraceCapacity = 256;
 
   /// `num_engines` is how many pumps drain the queue. Throws
-  /// std::invalid_argument on a degenerate configuration (no engines,
-  /// ewma_alpha outside (0, 1], negative bounds, min > max, negative
-  /// aging).
+  /// std::invalid_argument when it is 0.
   AdmissionController(std::size_t num_engines, const SchedulerOptions& options,
                       std::size_t max_batch, std::int64_t base_wait_us);
 
@@ -103,8 +100,8 @@ class AdmissionController {
   /// Records one batch `engine` completed: `served` requests in
   /// `engine_ms`. Re-derives the window and appends a trace event.
   /// `applied_wait_us` is the coalescing window the batch actually ran
-  /// with (DynamicBatcher::last_window_us()) — stamped into the trace
-  /// event verbatim.
+  /// with (the one its pump passed to DynamicBatcher::NextBatch) — stamped
+  /// into the trace event verbatim.
   void RecordBatch(std::size_t engine, std::size_t served, double engine_ms,
                    std::int64_t applied_wait_us, SchedClock::time_point now);
 

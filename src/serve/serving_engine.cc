@@ -19,6 +19,25 @@ double MsBetween(ServeClock::time_point from, ServeClock::time_point to) {
   return std::chrono::duration<double, std::milli>(to - from).count();
 }
 
+/// The response of a request that was never served: refused at admission
+/// (no times), dropped expired in the queue, or failed by its batch's
+/// engine call.
+Response Unserved(QosClass qos, double queue_ms = 0.0,
+                  double latency_ms = 0.0) {
+  Response response;
+  response.qos = qos;
+  response.queue_ms = queue_ms;
+  response.latency_ms = latency_ms;
+  return response;
+}
+
+std::future<Response> ReadyFuture(Response response) {
+  std::promise<Response> promise;
+  std::future<Response> future = promise.get_future();
+  promise.set_value(std::move(response));
+  return future;
+}
+
 LatencySummary Summarize(std::vector<double> latencies) {
   LatencySummary out;
   // `count` defaults to the sample count; callers with an all-time counter
@@ -118,8 +137,7 @@ ServingEngine::ServingEngine(core::ShardedNaiEngine& engine,
   const std::size_t engines = engine_->num_shards();
   stats_->batch_size_hist.assign(options_.batcher.max_batch, 0);
 
-  // The controller constructor validates every scheduler knob; queue,
-  // batcher and cache construction validate queue_capacity, the
+  // Queue, batcher and cache construction validate queue_capacity, the
   // BatcherConfig and the cache capacity. All of it happens here, on the
   // caller's thread — a degenerate option must throw from this
   // constructor, not abort a pump thread. Capacities are per engine, so
@@ -130,16 +148,13 @@ ServingEngine::ServingEngine(core::ShardedNaiEngine& engine,
       options_.batcher.max_wait_us);
   queue_ = std::make_unique<RequestQueue>(
       options_.queue_capacity * engines,
-      QueuePolicy{options_.scheduler.priority,
-                  options_.scheduler.priority_aging_us});
+      QueuePolicy{options_.scheduler.priority});
+  batcher_ = std::make_unique<DynamicBatcher>(*queue_, options_.batcher);
   if (options_.cache.enabled) {
     cache_ = std::make_unique<ResultCache>(options_.cache.capacity * engines);
   }
   for (std::size_t w = 0; w < engines; ++w) {
-    batchers_.push_back(
-        std::make_unique<DynamicBatcher>(*queue_, options_.batcher));
-    DynamicBatcher* batcher = batchers_.back().get();
-    pumps_.emplace_back([this, batcher, w] { Pump(*batcher, w); });
+    pumps_.emplace_back([this, w] { Pump(w); });
   }
 }
 
@@ -148,21 +163,6 @@ ServingEngine::~ServingEngine() { Shutdown(); }
 double ServingEngine::BudgetMs(QosClass qos, double deadline_ms) const {
   return deadline_ms > 0.0 ? deadline_ms
                            : policies_.For(qos).default_deadline_ms;
-}
-
-Request ServingEngine::MakeRequest(std::int32_t node, QosClass qos,
-                                   double deadline_ms) {
-  const double budget_ms = BudgetMs(qos, deadline_ms);
-  Request request;
-  request.id = stats_->next_id.fetch_add(1, std::memory_order_relaxed);
-  request.node = node;
-  request.qos = qos;
-  request.admitted = ServeClock::now();
-  request.deadline =
-      request.admitted + std::chrono::duration_cast<ServeClock::duration>(
-                             std::chrono::duration<double, std::milli>(
-                                 budget_ms));
-  return request;
 }
 
 void ServingEngine::CheckNode(std::int32_t node) const {
@@ -179,17 +179,6 @@ void ServingEngine::CheckNode(std::int32_t node) const {
 void ServingEngine::Complete(Request& request, Response response) {
   request.promise.set_value(response);
   if (request.callback) request.callback(response);
-}
-
-void ServingEngine::Reject(Request& request) {
-  {
-    std::lock_guard<std::mutex> lock(stats_->mu);
-    ++stats_->rejected;
-  }
-  Response response;
-  response.qos = request.qos;
-  response.served = false;
-  Complete(request, response);
 }
 
 std::optional<Response> ServingEngine::TryServeFromCache(std::int32_t node,
@@ -234,110 +223,88 @@ std::optional<Response> ServingEngine::TryServeFromCache(std::int32_t node,
   return response;
 }
 
-namespace {
-
-std::future<Response> ReadyFuture(Response response) {
-  std::promise<Response> promise;
-  std::future<Response> future = promise.get_future();
-  promise.set_value(std::move(response));
-  return future;
+ServingEngine::Admission ServingEngine::Admit(
+    std::int32_t node, QosClass qos, double deadline_ms, bool blocking,
+    std::function<void(const Response&)>&& callback) {
+  CheckNode(node);
+  Admission out;
+  // A warm node never touches the queue, the batcher or the admission
+  // controller: the hit completes inline on the submitting thread, so it
+  // can never be shed. Hits are deliberately not RecordArrival'd — they
+  // carry no information about the queueing process the controller's
+  // EWMAs model.
+  out.hit = TryServeFromCache(node, qos, deadline_ms);
+  if (out.hit.has_value()) {
+    if (callback) callback(*out.hit);
+    return out;
+  }
+  const double budget_ms = BudgetMs(qos, deadline_ms);
+  Request request;
+  request.id = stats_->next_id.fetch_add(1, std::memory_order_relaxed);
+  request.node = node;
+  request.qos = qos;
+  request.admitted = ServeClock::now();
+  request.deadline =
+      request.admitted + std::chrono::duration_cast<ServeClock::duration>(
+                             std::chrono::duration<double, std::milli>(
+                                 budget_ms));
+  controller_->RecordArrival(request.admitted);
+  request.callback = std::move(callback);
+  out.future = request.promise.get_future();
+  // Adaptive shedding: if the queue ahead of this request already implies
+  // a wait past its deadline budget, admitting it only manufactures a
+  // deadline miss and delays everyone behind it. The controller owns the
+  // decision entirely (a no-op yes when it is not adaptive).
+  const bool shed =
+      !blocking && !controller_->Admit(queue_->size(), budget_ms);
+  if (!shed) {
+    // `submitted` is counted before the push so a concurrent Stats()
+    // snapshot can never observe completed > submitted; a failed push
+    // (full or closed) takes the count back. Push and TryPush only move
+    // the request on success, so the caller-side object — and its
+    // promise — is still ours to reject.
+    {
+      std::lock_guard<std::mutex> lock(stats_->mu);
+      ++stats_->submitted;
+    }
+    out.queued = blocking ? queue_->Push(std::move(request))
+                          : queue_->TryPush(std::move(request));
+    if (out.queued) return out;
+  }
+  {
+    std::lock_guard<std::mutex> lock(stats_->mu);
+    if (shed) {
+      ++stats_->shed_adaptive;
+    } else {
+      --stats_->submitted;
+    }
+    ++stats_->rejected;
+  }
+  Complete(request, Unserved(qos));
+  return out;
 }
-
-}  // namespace
 
 std::future<Response> ServingEngine::Submit(std::int32_t node, QosClass qos,
                                             double deadline_ms) {
-  CheckNode(node);
-  // A warm node never touches the queue, the batcher or the admission
-  // controller: the hit completes inline on the submitting thread. Hits
-  // are deliberately not RecordArrival'd — they carry no information about
-  // the queueing process the controller's EWMAs model.
-  if (std::optional<Response> hit =
-          TryServeFromCache(node, qos, deadline_ms)) {
-    return ReadyFuture(std::move(*hit));
-  }
-  Request request = MakeRequest(node, qos, deadline_ms);
-  controller_->RecordArrival(request.admitted);
-  std::future<Response> future = request.promise.get_future();
-  // `submitted` is counted before the push so a concurrent Stats()
-  // snapshot can never observe completed > submitted; a failed push
-  // (queue closed) takes the count back and becomes a rejection. Push
-  // only moves the request on success, so the caller-side object — and
-  // its promise — is still ours to reject.
-  {
-    std::lock_guard<std::mutex> lock(stats_->mu);
-    ++stats_->submitted;
-  }
-  if (!queue_->Push(std::move(request))) {
-    {
-      std::lock_guard<std::mutex> lock(stats_->mu);
-      --stats_->submitted;
-    }
-    Reject(request);
-  }
-  return future;
+  Admission admission = Admit(node, qos, deadline_ms, /*blocking=*/true, {});
+  if (admission.hit.has_value()) return ReadyFuture(std::move(*admission.hit));
+  return std::move(admission.future);
 }
 
 std::optional<std::future<Response>> ServingEngine::TrySubmit(
     std::int32_t node, QosClass qos, double deadline_ms) {
-  CheckNode(node);
-  // Hits bypass admission entirely — in particular they cannot be shed:
-  // replaying a cached result is cheaper than the shed bookkeeping.
-  if (std::optional<Response> hit =
-          TryServeFromCache(node, qos, deadline_ms)) {
-    return ReadyFuture(std::move(*hit));
-  }
-  Request request = MakeRequest(node, qos, deadline_ms);
-  controller_->RecordArrival(request.admitted);
-  // Adaptive shedding: if the queue ahead of this request already implies
-  // a wait past its deadline budget, admitting it only manufactures a
-  // deadline miss and delays everyone behind it. Admit owns the decision
-  // entirely (it is a no-op yes when the controller is not adaptive).
-  if (!controller_->Admit(queue_->size(), BudgetMs(qos, deadline_ms))) {
-    std::lock_guard<std::mutex> lock(stats_->mu);
-    ++stats_->rejected;
-    ++stats_->shed_adaptive;
-    return std::nullopt;
-  }
-  std::future<Response> future = request.promise.get_future();
-  {
-    std::lock_guard<std::mutex> lock(stats_->mu);
-    ++stats_->submitted;
-  }
-  if (!queue_->TryPush(std::move(request))) {
-    std::lock_guard<std::mutex> lock(stats_->mu);
-    --stats_->submitted;
-    ++stats_->rejected;
-    return std::nullopt;
-  }
-  return future;
+  Admission admission = Admit(node, qos, deadline_ms, /*blocking=*/false, {});
+  if (admission.hit.has_value()) return ReadyFuture(std::move(*admission.hit));
+  if (!admission.queued) return std::nullopt;
+  return std::move(admission.future);
 }
 
 bool ServingEngine::SubmitWithCallback(
     std::int32_t node, QosClass qos,
     std::function<void(const Response&)> callback, double deadline_ms) {
-  CheckNode(node);
-  if (std::optional<Response> hit =
-          TryServeFromCache(node, qos, deadline_ms)) {
-    // On a hit the callback runs inline on the submitting thread (there is
-    // no pump involved), mirroring the inline-ready future of Submit.
-    if (callback) callback(*hit);
-    return true;
-  }
-  Request request = MakeRequest(node, qos, deadline_ms);
-  controller_->RecordArrival(request.admitted);
-  request.callback = std::move(callback);
-  {
-    std::lock_guard<std::mutex> lock(stats_->mu);
-    ++stats_->submitted;
-  }
-  if (queue_->Push(std::move(request))) return true;
-  {
-    std::lock_guard<std::mutex> lock(stats_->mu);
-    --stats_->submitted;
-  }
-  Reject(request);
-  return false;
+  const Admission admission =
+      Admit(node, qos, deadline_ms, /*blocking=*/true, std::move(callback));
+  return admission.hit.has_value() || admission.queued;
 }
 
 void ServingEngine::ServeBatch(
@@ -352,12 +319,9 @@ void ServingEngine::ServeBatch(
   serve.reserve(batch.size());
   for (Request& request : batch) {
     if (options_.drop_expired && formed >= request.deadline) {
-      Response response;
-      response.qos = request.qos;
-      response.served = false;
+      const double queue_ms = MsBetween(request.admitted, formed);
+      Response response = Unserved(request.qos, queue_ms, queue_ms);
       response.deadline_missed = true;
-      response.queue_ms = MsBetween(request.admitted, formed);
-      response.latency_ms = response.queue_ms;
       {
         std::lock_guard<std::mutex> lock(stats_->mu);
         ++stats_->dropped;
@@ -394,12 +358,9 @@ void ServingEngine::ServeBatch(
       stats_->engine_errors += static_cast<std::int64_t>(serve.size());
     }
     for (Request& request : serve) {
-      Response response;
-      response.qos = request.qos;
-      response.served = false;
-      response.queue_ms = MsBetween(request.admitted, formed);
-      response.latency_ms = MsBetween(request.admitted, failed);
-      Complete(request, response);
+      Complete(request, Unserved(request.qos,
+                                 MsBetween(request.admitted, formed),
+                                 MsBetween(request.admitted, failed)));
     }
     return;
   }
@@ -456,19 +417,20 @@ void ServingEngine::ServeBatch(
   }
 }
 
-void ServingEngine::Pump(DynamicBatcher& batcher, std::size_t engine) {
+void ServingEngine::Pump(std::size_t engine) {
   const bool adaptive = options_.scheduler.adaptive;
   while (true) {
-    if (adaptive) batcher.set_max_wait_us(controller_->WaitUs());
-    std::vector<Request> batch = batcher.NextBatch();
+    // The window is read once per batch, before it opens: a retune by
+    // another pump's batch lands at this pump's next batch, and the trace
+    // records the window this batch really coalesced under.
+    const std::int64_t window_us =
+        adaptive ? controller_->WaitUs() : options_.batcher.max_wait_us;
+    std::vector<Request> batch = batcher_->NextBatch(window_us);
     if (batch.empty()) return;  // closed and drained
     // Pin one engine state per batch — this is the swap point: an
     // ApplyDeltas that lands mid-batch takes effect at the next pin, so
-    // each pump applies the snapshot atomically between batches. The
-    // batcher remembers the window this batch actually opened with; only
-    // this pump drives the batcher, so the read cannot race.
-    ServeBatch(engine_->PinState(), engine, std::move(batch),
-               batcher.last_window_us());
+    // each pump applies the snapshot atomically between batches.
+    ServeBatch(engine_->PinState(), engine, std::move(batch), window_us);
   }
 }
 

@@ -154,7 +154,7 @@ struct DeltaApplyReport {
 /// One RequestQueue and one ResultCache, drained by one pump thread per
 /// shard engine (every shard engine serves the whole snapshot, so any
 /// engine answers any node). Each pump coalesces queued requests into
-/// batches with its own DynamicBatcher (in the queue's priority order when
+/// batches with the one DynamicBatcher (in the queue's priority order when
 /// SchedulerOptions::priority is on) and serves each batch on its engine
 /// with one per-query-config call (NaiEngine::InferMixed), so traffic
 /// classes co-exist in a batch yet are each served with their own
@@ -190,8 +190,8 @@ class ServingEngine {
   /// by the engine's shards (ShardedNaiEngine::ValidateConfig — the pumps
   /// bypass its entry points, so the check happens here, once)
   /// or when `options` is degenerate (zero queue capacity or batch size,
-  /// negative wait, out-of-range scheduler knobs) — everything is
-  /// validated on the caller's thread before any pump spawns.
+  /// negative wait) — everything is validated on the caller's thread
+  /// before any pump spawns.
   ServingEngine(core::ShardedNaiEngine& engine, QosPolicyTable policies,
                 ServingOptions options = {});
   ~ServingEngine();
@@ -257,7 +257,23 @@ class ServingEngine {
  private:
   struct Counters;
 
-  Request MakeRequest(std::int32_t node, QosClass qos, double deadline_ms);
+  /// What Admit did with one submission.
+  struct Admission {
+    std::optional<Response> hit;   ///< a cache hit, answered inline
+    std::future<Response> future;  ///< a miss's; ready+unserved if refused
+    bool queued = false;
+  };
+
+  /// The one admission path of Submit, TrySubmit and SubmitWithCallback:
+  /// CheckNode, then the cache probe (a hit runs `callback` inline and
+  /// returns before any Request exists), then the request and its
+  /// RecordArrival, the controller's shed decision (non-blocking only), the
+  /// `submitted` count and Push (blocking) or TryPush. A refused request is
+  /// taken back, counted as rejected and completed unserved (promise and
+  /// callback).
+  Admission Admit(std::int32_t node, QosClass qos, double deadline_ms,
+                  bool blocking,
+                  std::function<void(const Response&)>&& callback);
   double BudgetMs(QosClass qos, double deadline_ms) const;
   /// Throws std::out_of_range for a node outside the served graph.
   void CheckNode(std::int32_t node) const;
@@ -269,11 +285,10 @@ class ServingEngine {
   std::optional<Response> TryServeFromCache(std::int32_t node, QosClass qos,
                                             double deadline_ms);
   void Complete(Request& request, Response response);
-  void Reject(Request& request);
   /// The loop of the pump that owns shard engine `engine`: batches from
-  /// the queue through `batcher` and serves them until the queue is closed
-  /// and drained. Each pump is the only serving caller of its engine.
-  void Pump(DynamicBatcher& batcher, std::size_t engine);
+  /// the queue and serves them until the queue is closed and drained. Each
+  /// pump is the only serving caller of its engine.
+  void Pump(std::size_t engine);
   /// Serves `batch` on shard engine `engine`. Handles drop_expired, stats,
   /// cache fills, engine errors and completion. `state` is the pinned
   /// engine state the whole batch runs against — the caller pins it once
@@ -294,9 +309,9 @@ class ServingEngine {
   /// probe it in the submit path; pump threads fill it at batch completion.
   std::unique_ptr<ResultCache> cache_;
   std::unique_ptr<AdmissionController> controller_;
-  /// One per pump. Built in the constructor so a degenerate BatcherConfig
-  /// throws to the caller, not on a pump thread.
-  std::vector<std::unique_ptr<DynamicBatcher>> batchers_;
+  /// Shared by every pump. Built in the constructor so a degenerate
+  /// BatcherConfig throws to the caller, not on a pump thread.
+  std::unique_ptr<DynamicBatcher> batcher_;
   std::vector<std::thread> pumps_;
 
   /// Guards shut_down_ and the ApplyDeltas ingest thread. At most one

@@ -1,6 +1,9 @@
 #include "src/eval/mac_counter.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "src/core/nap_distance.h"
@@ -10,6 +13,13 @@
 
 namespace nai::eval {
 namespace {
+
+/// Table I's q from an exit histogram, via the engine's own stats.
+double AverageDepth(std::vector<std::int64_t> exits_at_depth) {
+  core::InferenceStats stats;
+  stats.exits_at_depth = std::move(exits_at_depth);
+  return stats.average_depth();
+}
 
 TEST(MacCounterTest, AverageDepth) {
   EXPECT_DOUBLE_EQ(AverageDepth({10, 0, 0}), 1.0);

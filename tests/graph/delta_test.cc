@@ -7,6 +7,7 @@
 #include "src/graph/delta.h"
 
 #include <cstdint>
+#include <limits>
 #include <set>
 #include <stdexcept>
 #include <utility>
@@ -14,6 +15,7 @@
 
 #include "gtest/gtest.h"
 #include "src/graph/generators.h"
+#include "src/runtime/error.h"
 
 namespace nai::graph {
 namespace {
@@ -181,6 +183,41 @@ TEST(GraphDeltaTest, ValidationThrowsAndLeavesBaseUntouched) {
   auto next = builder.Apply(GraphDelta{});
   EXPECT_EQ(next->version, base->version + 1);
   ExpectCsrEq(next->norm_csr(), base->norm_csr());
+}
+
+TEST(GraphDeltaTest, NonFiniteFeaturesThrowBeforeAnythingChanges) {
+  // One NaN feature would make the pooled stationary vector NaN, and with
+  // it every NAPd distance check false: serving would silently fall back to
+  // fixed-depth propagation. Apply refuses such rows up front.
+  auto base = MakeBase();  // 120 nodes, dim 8
+  const std::size_t f = base->features().cols();
+  const std::int32_t n = static_cast<std::int32_t>(base->graph().num_nodes());
+  SnapshotBuilder builder(base);
+
+  std::vector<float> nan_row = Row(f, 1.0f);
+  nan_row[3] = std::numeric_limits<float>::quiet_NaN();
+  GraphDelta nan_update;
+  nan_update.AddEdge(0, 5);
+  nan_update.UpdateFeatures(7, nan_row);
+  EXPECT_THROW(builder.Apply(nan_update), ValidationError);
+
+  for (const float bad : {std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity(),
+                          std::numeric_limits<float>::quiet_NaN()}) {
+    std::vector<float> row = Row(f, 0.5f);
+    row[f - 1] = bad;
+    GraphDelta insert;
+    insert.AddNode(row, n);
+    EXPECT_THROW(builder.Apply(insert), ValidationError) << bad;
+    GraphDelta update;
+    update.UpdateFeatures(0, row);
+    EXPECT_THROW(builder.Apply(update), ValidationError) << bad;
+  }
+
+  EXPECT_EQ(builder.base().get(), base.get());
+  auto next = builder.Apply(GraphDelta{});
+  EXPECT_EQ(next->version, base->version + 1);
+  ExpectMatrixEq(next->features(), base->features());
 }
 
 TEST(GraphDeltaTest, RecomputesExactlyDirtyRowsOnPathGraph) {

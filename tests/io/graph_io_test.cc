@@ -1,9 +1,11 @@
 #include "src/io/graph_io.h"
 
 #include <sstream>
+#include <string>
 
 #include "gtest/gtest.h"
 #include "src/graph/generators.h"
+#include "src/runtime/error.h"
 #include "tests/test_util.h"
 
 namespace nai::io {
@@ -33,6 +35,22 @@ TEST(GraphIoTest, EdgeListRejectsBadInput) {
     std::stringstream ss("0 5\n");
     EXPECT_THROW(ReadEdgeList(ss, 3), std::runtime_error);
   }
+}
+
+TEST(GraphIoTest, EdgeListRejectsIdsPastInt32) {
+  // An id of 2^31 used to be narrowed to int32 after a graph of 2^31 + 1
+  // nodes was sized from it; it is a parse error naming its line.
+  std::stringstream ss("0 1\n2147483648 1\n");
+  try {
+    ReadEdgeList(ss);
+    FAIL() << "an id above INT32_MAX - 1 was accepted";
+  } catch (const IoError& e) {
+    EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
+        << e.what();
+  }
+  // INT32_MAX itself is refused too: its node count would not fit int32.
+  std::stringstream max_id("2147483647 0\n");
+  EXPECT_THROW(ReadEdgeList(max_id), IoError);
 }
 
 TEST(GraphIoTest, EdgeListRoundTrip) {

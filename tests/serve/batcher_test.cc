@@ -1,9 +1,9 @@
 // DynamicBatcher boundaries: max_batch caps a batch even with a deep
-// backlog, max_wait_us holds an incomplete batch open for stragglers (and
-// only that long), and a closed drained queue yields the empty
-// end-of-stream batch. Timing-sensitive cases only assert directions that
-// generous margins make robust (a straggler inside a huge window joins;
-// expiry returns *something* rather than blocking forever).
+// backlog, the window passed to NextBatch holds an incomplete batch open
+// for stragglers (and only that long), and a closed drained queue yields
+// the empty end-of-stream batch. Timing-sensitive cases only assert
+// directions that generous margins make robust (a straggler inside a huge
+// window joins; expiry returns *something* rather than blocking forever).
 
 #include "src/serve/batcher.h"
 
@@ -42,7 +42,7 @@ TEST(BatcherTest, MaxBatchCapsABacklog) {
   std::vector<std::size_t> sizes;
   std::vector<std::int64_t> order;
   for (int b = 0; b < 3; ++b) {
-    std::vector<Request> batch = batcher.NextBatch();
+    std::vector<Request> batch = batcher.NextBatch(0);
     sizes.push_back(batch.size());
     for (const Request& r : batch) order.push_back(r.id);
   }
@@ -54,34 +54,31 @@ TEST(BatcherTest, ZeroWaitServesWhatIsAvailable) {
   RequestQueue q(8);
   ASSERT_TRUE(q.TryPush(MakeRequest(0)));
   DynamicBatcher batcher(q, BatcherConfig{8, 0});
-  EXPECT_EQ(batcher.NextBatch().size(), 1u);
+  EXPECT_EQ(batcher.NextBatch(0).size(), 1u);
 }
 
-TEST(BatcherTest, LastWindowUsReportsTheWindowActuallyApplied) {
-  // Pins the mid-window-retune semantics: the window is read once when a
-  // batch's first request is popped, so a set_max_wait_us during or after
-  // that batch is invisible to it — last_window_us() reports the window
-  // the batch really coalesced under, which is what the adaptation trace
-  // stamps as applied_wait_us.
+TEST(BatcherTest, BatchWaitsUnderTheWindowPassedToNextBatch) {
+  // The pump passes each batch its window (the controller's adapted one or
+  // the configured one) and stamps that same value into the adaptation
+  // trace as applied_wait_us, so the batch must wait under exactly that
+  // window — not under the configured max_wait_us.
   RequestQueue q(8);
-  DynamicBatcher batcher(q, BatcherConfig{8, 150});
-  EXPECT_EQ(batcher.last_window_us(), -1);  // no batch formed yet
+  DynamicBatcher batcher(q, BatcherConfig{8, 2'000'000});  // 2 s configured
 
   ASSERT_TRUE(q.TryPush(MakeRequest(0)));
-  EXPECT_EQ(batcher.NextBatch().size(), 1u);
-  EXPECT_EQ(batcher.last_window_us(), 150);  // the configured base window
+  ServeClock::time_point start = ServeClock::now();
+  EXPECT_EQ(batcher.NextBatch(0).size(), 1u);
+  // Directional bound only: far below the configured 2 s.
+  EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(
+                ServeClock::now() - start)
+                .count(),
+            1000);
 
-  // Retune between batches: the next batch opens under the new window and
-  // reports it.
-  batcher.set_max_wait_us(0);
+  // A 20 ms window holds the lone request open at least that long.
   ASSERT_TRUE(q.TryPush(MakeRequest(1)));
-  EXPECT_EQ(batcher.NextBatch().size(), 1u);
-  EXPECT_EQ(batcher.last_window_us(), 0);
-
-  // A retune *after* window-open does not rewrite what the previous batch
-  // ran with.
-  batcher.set_max_wait_us(5000);
-  EXPECT_EQ(batcher.last_window_us(), 0);
+  start = ServeClock::now();
+  EXPECT_EQ(batcher.NextBatch(20'000).size(), 1u);
+  EXPECT_GE(ServeClock::now() - start, std::chrono::milliseconds(20));
 }
 
 TEST(BatcherTest, WindowWaitsForStragglers) {
@@ -101,7 +98,7 @@ TEST(BatcherTest, WindowWaitsForStragglers) {
   for (std::int64_t i = 3; i < 8; ++i) {
     ASSERT_TRUE(q.TryPush(MakeRequest(i)));
   }
-  std::vector<Request> batch = batcher.NextBatch();
+  std::vector<Request> batch = batcher.NextBatch(2'000'000);
   straggler.join();
   EXPECT_EQ(batch.size(), 8u);  // closed by max_batch, stragglers included
 }
@@ -111,7 +108,7 @@ TEST(BatcherTest, WindowExpiresWithoutStragglers) {
   ASSERT_TRUE(q.TryPush(MakeRequest(0)));
   DynamicBatcher batcher(q, BatcherConfig{8, 5'000});  // 5 ms window
   const auto start = ServeClock::now();
-  std::vector<Request> batch = batcher.NextBatch();
+  std::vector<Request> batch = batcher.NextBatch(5'000);
   const auto elapsed = ServeClock::now() - start;
   EXPECT_EQ(batch.size(), 1u);
   // Directional bound only: the window is 5 ms; well under a second proves
@@ -128,7 +125,7 @@ TEST(BatcherTest, BlockedFirstPopWokenByArrival) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     ASSERT_TRUE(q.TryPush(MakeRequest(42)));
   });
-  std::vector<Request> batch = batcher.NextBatch();  // blocks until arrival
+  std::vector<Request> batch = batcher.NextBatch(0);  // blocks until arrival
   producer.join();
   ASSERT_EQ(batch.size(), 1u);
   EXPECT_EQ(batch[0].id, 42);
@@ -139,8 +136,8 @@ TEST(BatcherTest, ClosedAndDrainedYieldsEmptyBatch) {
   ASSERT_TRUE(q.TryPush(MakeRequest(0)));
   q.Close();
   DynamicBatcher batcher(q, BatcherConfig{4, 1'000});
-  EXPECT_EQ(batcher.NextBatch().size(), 1u);  // drains the leftover
-  EXPECT_TRUE(batcher.NextBatch().empty());   // end-of-stream signal
+  EXPECT_EQ(batcher.NextBatch(1'000).size(), 1u);  // drains the leftover
+  EXPECT_TRUE(batcher.NextBatch(1'000).empty());   // end-of-stream signal
 }
 
 TEST(BatcherTest, CloseDuringWindowReturnsPartialBatch) {
@@ -152,7 +149,7 @@ TEST(BatcherTest, CloseDuringWindowReturnsPartialBatch) {
     q.Close();
   });
   const auto start = ServeClock::now();
-  std::vector<Request> batch = batcher.NextBatch();
+  std::vector<Request> batch = batcher.NextBatch(2'000'000);
   closer.join();
   EXPECT_EQ(batch.size(), 1u);
   // The close must cut the window short — far below the 2 s budget.

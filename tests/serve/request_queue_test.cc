@@ -232,7 +232,7 @@ TEST(RequestQueueTest, CloseThenDrainRacedWithNBatchersLosesNothing) {
   for (int b = 0; b < kBatchers; ++b) {
     threads.emplace_back([&, b] {
       while (true) {
-        const std::vector<Request> batch = batchers[b]->NextBatch();
+        const std::vector<Request> batch = batchers[b]->NextBatch(100);
         if (batch.empty()) return;  // closed and drained
         for (const Request& r : batch) {
           popped_count[static_cast<std::size_t>(r.id)].fetch_add(

@@ -9,7 +9,9 @@
 
 #include <atomic>
 #include <future>
+#include <optional>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -525,6 +527,166 @@ TEST(ServingEngineTest, SingleShardEngineIsServableToo) {
   }
   for (std::size_t i = 0; i < futures.size(); ++i) {
     EXPECT_EQ(futures[i].get().prediction, ref.predictions[i]);
+  }
+}
+
+
+/// One submit entry point of ServingEngine.
+enum class Entry { kSubmit, kTrySubmit, kSubmitWithCallback };
+
+/// The state a submission meets.
+enum class Setup {
+  kHit,            // the node is warm in the cache
+  kMiss,           // the node is cold
+  kAfterShutdown,  // the node is warm, but the server is shut down
+  kFullQueue,      // the pump is stalled and the one-slot queue is full
+  kAdaptiveShed,   // the pump is stalled, one request queued, 1 us budget
+};
+
+struct AdmissionCase {
+  const char* name;
+  Entry entry;
+  Setup setup;
+  bool served;  // the submission's response is a served answer
+  // Deltas of the serving counters across the one submission.
+  std::int64_t submitted;
+  std::int64_t rejected;
+  std::int64_t shed_adaptive;
+  std::int64_t completed;
+};
+
+constexpr AdmissionCase kAdmissionCases[] = {
+    {"Submit/hit", Entry::kSubmit, Setup::kHit, true, 1, 0, 0, 1},
+    {"Submit/miss", Entry::kSubmit, Setup::kMiss, true, 1, 0, 0, 1},
+    {"Submit/shutdown", Entry::kSubmit, Setup::kAfterShutdown, false, 0, 1,
+     0, 0},
+    {"TrySubmit/hit", Entry::kTrySubmit, Setup::kHit, true, 1, 0, 0, 1},
+    {"TrySubmit/miss", Entry::kTrySubmit, Setup::kMiss, true, 1, 0, 0, 1},
+    {"TrySubmit/shutdown", Entry::kTrySubmit, Setup::kAfterShutdown, false,
+     0, 1, 0, 0},
+    {"TrySubmit/full", Entry::kTrySubmit, Setup::kFullQueue, false, 0, 1, 0,
+     0},
+    {"TrySubmit/shed", Entry::kTrySubmit, Setup::kAdaptiveShed, false, 0, 1,
+     1, 0},
+    {"SubmitWithCallback/hit", Entry::kSubmitWithCallback, Setup::kHit, true,
+     1, 0, 0, 1},
+    {"SubmitWithCallback/miss", Entry::kSubmitWithCallback, Setup::kMiss,
+     true, 1, 0, 0, 1},
+    {"SubmitWithCallback/shutdown", Entry::kSubmitWithCallback,
+     Setup::kAfterShutdown, false, 0, 1, 0, 0},
+};
+
+TEST(ServingEngineTest, EveryEntryPointCountsEveryAdmissionOutcome) {
+  // The three submit calls share one admission path. For each call and
+  // each outcome, the counters move by exactly the expected deltas, a
+  // callback fires exactly once (inline on the submitting thread for a
+  // hit or a refusal), and a hit leaves the controller's arrival rate
+  // untouched.
+  SmallWorld& w = World();
+  const QosPolicyTable policies = MakePolicies();
+  const QosClass qos = QosClass::kSpeedFirst;
+  const std::unique_ptr<core::ShardedNaiEngine> engine = MakeSharded(1);
+  const core::InferenceResult ref =
+      engine->Infer(w.all_nodes, policies.For(qos).config);
+  const std::int32_t node = w.all_nodes[5];
+
+  for (const AdmissionCase& c : kAdmissionCases) {
+    SCOPED_TRACE(c.name);
+    // Declared before the server, which joins the pump that may still call
+    // back into them.
+    std::promise<void> stalled;
+    std::future<void> stalled_future = stalled.get_future();
+    const std::thread::id submitter = std::this_thread::get_id();
+    std::atomic<int> callbacks{0};
+    std::atomic<bool> callback_inline{false};
+    std::promise<Response> delivered;
+
+    ServingOptions options;
+    options.queue_capacity = c.setup == Setup::kFullQueue ? 1 : 1024;
+    ServingEngine server(*engine, policies, options);
+    // Stalls the one pump inside a completion callback, so whatever is
+    // queued next stays queued until `release` is set (or destroyed, which
+    // also frees the pump before the server joins it).
+    std::promise<void> release;
+    const std::shared_future<void> released = release.get_future().share();
+    const bool stall =
+        c.setup == Setup::kFullQueue || c.setup == Setup::kAdaptiveShed;
+    if (stall) {
+      ASSERT_TRUE(server.SubmitWithCallback(
+          w.all_nodes[0], qos, [&stalled, released](const Response&) {
+            stalled.set_value();
+            released.wait();
+          }));
+      stalled_future.wait();
+      // One request waits in the queue: it fills the one-slot queue, or it
+      // is the backlog the controller predicts the next request's wait
+      // from (its service EWMA formed with the stalled batch).
+      ASSERT_TRUE(server.TrySubmit(w.all_nodes[1], qos).has_value());
+    } else {
+      // Two served misses: `node` warm (unless the case is a miss) and
+      // a formed arrival EWMA, which one more arrival would move.
+      if (c.setup != Setup::kMiss) server.Submit(node, qos).get();
+      server.Submit(w.all_nodes[6], qos).get();
+      server.Submit(w.all_nodes[7], qos).get();
+    }
+    if (c.setup == Setup::kAfterShutdown) server.Shutdown();
+    const double deadline_ms = c.setup == Setup::kAdaptiveShed ? 1e-3 : 0.0;
+
+    const ServingStatsSnapshot before = server.Stats();
+    std::optional<std::future<Response>> response;
+    bool by_callback = false;
+    switch (c.entry) {
+      case Entry::kSubmit:
+        response = server.Submit(node, qos, deadline_ms);
+        break;
+      case Entry::kTrySubmit:
+        response = server.TrySubmit(node, qos, deadline_ms);
+        break;
+      case Entry::kSubmitWithCallback: {
+        const bool accepted = server.SubmitWithCallback(
+            node, qos,
+            [&](const Response& r) {
+              callback_inline = std::this_thread::get_id() == submitter;
+              callbacks.fetch_add(1);
+              delivered.set_value(r);
+            },
+            deadline_ms);
+        EXPECT_EQ(accepted, c.setup == Setup::kHit || c.setup == Setup::kMiss);
+        EXPECT_EQ(callbacks.load() == 1, c.setup != Setup::kMiss)
+            << "a hit or a refusal completes inline";
+        response = delivered.get_future();
+        by_callback = true;
+        break;
+      }
+    }
+    // TrySubmit refuses with nullopt; every other call hands back (or calls
+    // back with) a response, unserved when refused.
+    ASSERT_EQ(response.has_value(),
+              c.entry != Entry::kTrySubmit || c.served);
+    if (response.has_value()) {
+      const Response r = response->get();
+      EXPECT_EQ(r.served, c.served);
+      EXPECT_EQ(r.qos, qos);
+      EXPECT_EQ(r.prediction,
+                c.served ? ref.predictions[static_cast<std::size_t>(node)]
+                         : -1);
+    }
+    const ServingStatsSnapshot after = server.Stats();
+    EXPECT_EQ(after.submitted - before.submitted, c.submitted);
+    EXPECT_EQ(after.rejected - before.rejected, c.rejected);
+    EXPECT_EQ(after.shed_adaptive - before.shed_adaptive, c.shed_adaptive);
+    EXPECT_EQ(after.completed - before.completed, c.completed);
+    if (c.setup == Setup::kHit) {
+      EXPECT_EQ(after.cache_hits - before.cache_hits, 1);
+      EXPECT_EQ(after.scheduler.arrival_qps, before.scheduler.arrival_qps);
+    }
+
+    if (stall) release.set_value();
+    server.Shutdown();
+    if (by_callback) {
+      EXPECT_EQ(callbacks.load(), 1);
+      EXPECT_EQ(callback_inline.load(), c.setup != Setup::kMiss);
+    }
   }
 }
 
