@@ -9,9 +9,12 @@
 // NAP room to act (t_min < t_max) exits fewer than kMinEarlyExitShare of
 // the test nodes before T_max. The last check is what catches a NAP that
 // never fires: the speed-first T_max of 2 alone already clears the
-// speedup bound. The gate reads only MACs, exit depths and accuracy, which
-// are bit-exact across threads, shards and SIMD levels; it is calibrated
-// for NAI_SCALE=1 (smaller scales widen the accuracy gaps).
+// speedup bound. The speed-first NAIg has no such room (its gates start
+// at depth 2), so NAIg is also run at the NAI2 setting, where only the
+// early-exit check applies. The gate reads only MACs, exit depths and
+// accuracy, which are bit-exact across threads, shards and SIMD levels;
+// it is calibrated for NAI_SCALE=1 (smaller scales widen the accuracy
+// gaps).
 
 #include <cstdint>
 #include <cstdio>
@@ -29,13 +32,9 @@ constexpr double kMinFpMacSpeedup = 4.0;
 constexpr double kMaxAccuracyGapPoints = 6.0;
 constexpr double kMinEarlyExitShare = 0.05;
 
-/// Checks one NAI run of `config` against vanilla SGC; prints and returns
-/// the verdict.
-bool PassesGate(const eval::EvalRow& sgc, const eval::MethodResult& nai,
-                const core::InferenceConfig& config) {
-  const double speedup =
-      bench::Ratio(sgc.fp_mmacs_per_node, nai.row.fp_mmacs_per_node);
-  const double gap_points = 100.0 * (sgc.accuracy - nai.row.accuracy);
+/// The share of nodes of one NAI run of `config` that exited before T_max.
+double EarlyExitShare(const eval::MethodResult& nai,
+                      const core::InferenceConfig& config) {
   // exits_at_depth[d - 1] counts the nodes that stopped at depth d.
   const std::vector<std::int64_t>& exits = nai.stats.exits_at_depth;
   const std::size_t cap =
@@ -46,9 +45,18 @@ bool PassesGate(const eval::EvalRow& sgc, const eval::MethodResult& nai,
     total += exits[d];
     if (d + 1 < cap) early += exits[d];
   }
-  const double early_share =
-      total > 0 ? static_cast<double>(early) / static_cast<double>(total)
-                : 0.0;
+  return total > 0 ? static_cast<double>(early) / static_cast<double>(total)
+                   : 0.0;
+}
+
+/// Checks one NAI run of `config` against vanilla SGC; prints and returns
+/// the verdict.
+bool PassesGate(const eval::EvalRow& sgc, const eval::MethodResult& nai,
+                const core::InferenceConfig& config) {
+  const double speedup =
+      bench::Ratio(sgc.fp_mmacs_per_node, nai.row.fp_mmacs_per_node);
+  const double gap_points = 100.0 * (sgc.accuracy - nai.row.accuracy);
+  const double early_share = EarlyExitShare(nai, config);
   const bool nap_room = config.t_min < config.t_max;
   const bool pass = speedup >= kMinFpMacSpeedup &&
                     gap_points <= kMaxAccuracyGapPoints &&
@@ -139,7 +147,21 @@ bool RunDataset(const eval::DatasetSpec& spec, int shards) {
       bench::Ratio(rows[0].fp_time_ms, naig.row.fp_time_ms));
   const bool naid_ok = PassesGate(vanilla.row, naid, napd);
   const bool naig_ok = PassesGate(vanilla.row, naig, napg);
-  return naid_ok && naig_ok;
+
+  // The speed-first gates cannot fire (t_min = t_max = 2), so the NAIg row
+  // above says nothing about them. The NAI2 setting leaves them room
+  // (t_min < t_max); it must exit at least kMinEarlyExitShare early.
+  core::InferenceConfig napg2 = napg_settings[1].config;
+  napg2.batch_size = batch;
+  const double naig2_share =
+      EarlyExitShare(run_nai(napg2, "NAIg-NAI2"), napg2);
+  const bool naig2_ok = napg2.t_min < napg2.t_max &&
+                        naig2_share >= kMinEarlyExitShare;
+  std::printf("gate NAIg at NAI2 (t_min %d, t_max %d)  early exits %.1f%% "
+              "(min %.1f%%)  %s\n",
+              napg2.t_min, napg2.t_max, 100.0 * naig2_share,
+              100.0 * kMinEarlyExitShare, naig2_ok ? "PASS" : "FAIL");
+  return naid_ok && naig_ok && naig2_ok;
 }
 
 }  // namespace

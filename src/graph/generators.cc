@@ -1,12 +1,14 @@
 #include "src/graph/generators.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <cmath>
 #include <unordered_set>
 
 #include "src/graph/normalize.h"
 #include "src/runtime/error.h"
+#include "src/runtime/thread_pool.h"
 #include "src/storage/mmap_store.h"
 #include "src/tensor/random.h"
 
@@ -22,8 +24,8 @@ std::int32_t SampleFromCdf(const std::vector<double>& cdf, double u) {
 }
 
 /// Counter-free splitmix64: one independent, reproducible stream per
-/// (seed, node) pair, so the degree pass and the fill pass of the scaled
-/// generator regenerate identical chord sets without storing them.
+/// (seed, node) pair, so every node's chords and feature row can be drawn
+/// on any thread in any order.
 struct SplitMix64 {
   std::uint64_t state;
   std::uint64_t Next() {
@@ -44,39 +46,60 @@ std::uint64_t NodeStream(std::uint64_t seed, std::int64_t node,
   return mix.Next();
 }
 
-/// The forward chords of node u: c_u distinct offsets in [2, n/2), where
-/// c_u follows a truncated Pareto with exponent `alpha`. Deterministic in
-/// (config.seed, u) — both generator passes call this with the same inputs.
-void ChordsFor(const ScaledGraphConfig& config, std::int64_t u,
-               std::vector<std::int64_t>& offsets) {
-  offsets.clear();
-  const std::int64_t n = config.num_nodes;
-  const std::int64_t max_offset = n / 2;  // exclusive; offsets start at 2
-  const std::int64_t range = max_offset - 2;
-  if (range <= 0) return;
-  SplitMix64 rng{NodeStream(config.seed, u, 0x5ca1ab1eULL)};
+/// The chord stream of node u. Its first draw is the chord count, every
+/// later draw a candidate offset.
+SplitMix64 ChordStream(const ScaledGraphConfig& config, std::int64_t u) {
+  return SplitMix64{NodeStream(config.seed, u, 0x5ca1ab1eULL)};
+}
+
+/// Offsets are drawn from [2, n/2).
+std::int64_t OffsetRange(const ScaledGraphConfig& config) {
+  return config.num_nodes / 2 - 2;
+}
+
+/// The chord count c_u: a truncated Pareto with exponent `alpha`, taken
+/// from the first draw of u's chord stream.
+std::int64_t ChordCount(const ScaledGraphConfig& config, std::int64_t u) {
+  const std::int64_t range = OffsetRange(config);
+  if (range <= 0) return 0;
+  SplitMix64 rng = ChordStream(config, u);
   const double alpha = static_cast<double>(config.power_law_exponent);
   const double x = rng.NextDouble();
   // Inverse CDF of the Pareto tail P(c >= k) ~ k^-(alpha-1), truncated.
-  double draw = static_cast<double>(config.min_chords) *
-                std::pow(1.0 - x, -1.0 / (alpha - 1.0));
+  const double draw = static_cast<double>(config.min_chords) *
+                      std::pow(1.0 - x, -1.0 / (alpha - 1.0));
   const double cap = static_cast<double>(
       std::min<std::int64_t>(config.max_chords, range));
-  std::int64_t count = static_cast<std::int64_t>(std::min(draw, cap));
-  offsets.reserve(static_cast<std::size_t>(count));
-  // Distinct offsets by bounded rejection; the stream is deterministic, so
-  // both passes retry identically.
+  return static_cast<std::int64_t>(std::min(draw, cap));
+}
+
+/// Draws node u's `count` distinct offsets (ChordCount) into `out` by
+/// bounded rejection and returns how many it found; that is `count`
+/// unless the attempts run out first.
+std::int64_t DrawChords(const ScaledGraphConfig& config, std::int64_t u,
+                        std::int64_t count, std::int32_t* out) {
+  const double range = static_cast<double>(OffsetRange(config));
+  SplitMix64 rng = ChordStream(config, u);
+  rng.Next();  // the count draw
+  std::int64_t found = 0;
   std::int64_t attempts = 0;
   const std::int64_t max_attempts = count * 16 + 16;
-  while (static_cast<std::int64_t>(offsets.size()) < count &&
-         attempts++ < max_attempts) {
-    const std::int64_t offset =
-        2 + static_cast<std::int64_t>(rng.NextDouble() *
-                                      static_cast<double>(range));
-    if (std::find(offsets.begin(), offsets.end(), offset) == offsets.end()) {
-      offsets.push_back(offset);
+  while (found < count && attempts++ < max_attempts) {
+    const auto offset = static_cast<std::int32_t>(
+        2 + static_cast<std::int64_t>(rng.NextDouble() * range));
+    if (std::find(out, out + found, offset) == out + found) {
+      out[found++] = offset;
     }
   }
+  return found;
+}
+
+/// ParallelFor grains (approximate scalar ops per node) of GenerateScaled's
+/// node loops: a chord draw is a few hash steps and a pow, a row pass sorts
+/// and normalizes about ten entries and draws `feature_dim` floats.
+constexpr std::size_t kChordGrain = 64;
+std::size_t RowGrain(std::int64_t feature_dim) {
+  return 64 + 8 * static_cast<std::size_t>(feature_dim);
 }
 
 }  // namespace
@@ -212,88 +235,141 @@ std::int64_t GenerateScaled(const ScaledGraphConfig& config,
         "GenerateScaled: need 0 <= min_chords <= max_chords");
   }
 
-  // Pass 1 — degrees only (the single O(n) array that decides the layout).
   // Every node has its two ring neighbors; chords add one endpoint each.
-  std::vector<std::int64_t> degree(n, 2);
-  std::vector<std::int64_t> offsets;
+  // Each node's chords are drawn once, on whichever thread takes the node,
+  // into a flat array (4 bytes per chord) that the degree count and the
+  // column scatter both read. Rows are sorted before anything reads them,
+  // so the order in which threads scatter into a row never shows.
+  using runtime::ParallelFor;
+  std::vector<std::int32_t> chord_count(n);
+  ParallelFor(0, n, kChordGrain, [&](std::size_t u0, std::size_t u1) {
+    for (std::size_t u = u0; u < u1; ++u) {
+      chord_count[u] = static_cast<std::int32_t>(ChordCount(config, u));
+    }
+  });
+  std::vector<std::int64_t> chord_ptr(n + 1, 0);
   for (std::int64_t u = 0; u < n; ++u) {
-    ChordsFor(config, u, offsets);
-    degree[u] += static_cast<std::int64_t>(offsets.size());
-    for (const std::int64_t o : offsets) ++degree[(u + o) % n];
+    chord_ptr[u + 1] = chord_ptr[u] + chord_count[u];
   }
+  // chords[chord_ptr[u] + i] is the i-th chord end of node u: drawn as an
+  // offset, stored as the node (u + offset) mod n.
+  std::vector<std::int32_t> chords(chord_ptr[n]);
+  // in_degree[v] counts the chords that end at v. The count a chord's
+  // increment returns is its slot among v's reverse entries, kept so the
+  // scatter below needs no atomics.
+  std::vector<std::int32_t> in_degree(n, 0);
+  std::vector<std::int32_t> reverse_slot(chord_ptr[n]);
+  ParallelFor(0, n, kChordGrain, [&](std::size_t u0, std::size_t u1) {
+    for (std::size_t u = u0; u < u1; ++u) {
+      std::int32_t* ends = chords.data() + chord_ptr[u];
+      const std::int64_t found = DrawChords(config, u, chord_count[u], ends);
+      chord_count[u] = static_cast<std::int32_t>(found);
+      for (std::int64_t i = 0; i < found; ++i) {
+        std::int64_t v = static_cast<std::int64_t>(u) + ends[i];
+        if (v >= n) v -= n;  // offsets are below n/2
+        ends[i] = static_cast<std::int32_t>(v);
+        reverse_slot[chord_ptr[u] + i] =
+            std::atomic_ref<std::int32_t>(in_degree[v]).fetch_add(
+                1, std::memory_order_relaxed);
+      }
+    }
+  });
   std::int64_t adj_nnz = 0;
-  for (const std::int64_t d : degree) adj_nnz += d;
+  std::int64_t max_degree = 0;
+  for (std::int64_t v = 0; v < n; ++v) {
+    const std::int64_t degree = 2 + chord_count[v] + in_degree[v];
+    adj_nnz += degree;
+    max_degree = std::max(max_degree, degree);
+  }
 
   storage::MmapStoreWriter writer(path, n, adj_nnz, config.feature_dim,
                                   config.gamma);
 
   // Row pointers (adjacency and normalized, which gains one self-loop per
-  // row) as prefix sums over the degree array.
+  // row) as prefix sums over the degrees.
   std::int64_t* adj_row_ptr = writer.adj_row_ptr();
   std::int64_t* norm_row_ptr = writer.norm_row_ptr();
   adj_row_ptr[0] = 0;
   norm_row_ptr[0] = 0;
   for (std::int64_t v = 0; v < n; ++v) {
-    adj_row_ptr[v + 1] = adj_row_ptr[v] + degree[v];
-    norm_row_ptr[v + 1] = norm_row_ptr[v] + degree[v] + 1;
+    const std::int64_t degree = 2 + chord_count[v] + in_degree[v];
+    adj_row_ptr[v + 1] = adj_row_ptr[v] + degree;
+    norm_row_ptr[v + 1] = norm_row_ptr[v] + degree + 1;
   }
 
-  // Pass 2 — scatter columns through per-row cursors, regenerating the
-  // identical chord streams, then sort each row in place in the map.
+  // The degree scalers of Eq. 1 and the stationary weights
+  // v_j = (d_j+1)^(1-γ) / (2m+n) depend on the degree alone, and degrees
+  // repeat, so each is evaluated once per degree value.
+  const double denom = static_cast<double>(adj_nnz + n);  // 2m + n
+  std::vector<float> left_of(max_degree + 1), right_of(max_degree + 1),
+      weight_of(max_degree + 1);
+  for (std::int64_t d = 0; d <= max_degree; ++d) {
+    DegreeScalers(d, config.gamma, left_of[d], right_of[d]);
+    weight_of[d] = static_cast<float>(
+        std::pow(static_cast<double>(d + 1), 1.0 - config.gamma) / denom);
+  }
+
+  // Scatter: node u writes its ring neighbors and chord ends at the head
+  // of its own row, and itself into its reverse slot in the tail of each
+  // chord end's row.
   std::int32_t* adj_col_idx = writer.adj_col_idx();
-  {
-    std::vector<std::int64_t> cursor(adj_row_ptr, adj_row_ptr + n);
-    for (std::int64_t u = 0; u < n; ++u) {
-      adj_col_idx[cursor[u]++] = static_cast<std::int32_t>((u + 1) % n);
-      adj_col_idx[cursor[u]++] = static_cast<std::int32_t>((u + n - 1) % n);
-      ChordsFor(config, u, offsets);
-      for (const std::int64_t o : offsets) {
-        const std::int64_t v = (u + o) % n;
-        adj_col_idx[cursor[u]++] = static_cast<std::int32_t>(v);
-        adj_col_idx[cursor[v]++] = static_cast<std::int32_t>(u);
+  std::vector<float> left(n), right(n);
+  ParallelFor(0, n, kChordGrain, [&](std::size_t u0, std::size_t u1) {
+    for (auto u = static_cast<std::int64_t>(u0);
+         u < static_cast<std::int64_t>(u1); ++u) {
+      std::int32_t* row = adj_col_idx + adj_row_ptr[u];
+      row[0] = static_cast<std::int32_t>(u + 1 < n ? u + 1 : 0);
+      row[1] = static_cast<std::int32_t>(u > 0 ? u - 1 : n - 1);
+      const std::int32_t* ends = chords.data() + chord_ptr[u];
+      const std::int32_t* slot = reverse_slot.data() + chord_ptr[u];
+      for (std::int32_t i = 0; i < chord_count[u]; ++i) {
+        const std::int32_t v = ends[i];
+        row[2 + i] = v;
+        adj_col_idx[adj_row_ptr[v + 1] - in_degree[v] + slot[i]] =
+            static_cast<std::int32_t>(u);
       }
+      const std::int64_t degree = adj_row_ptr[u + 1] - adj_row_ptr[u];
+      left[u] = left_of[degree];
+      right[u] = right_of[degree];
     }
-  }
-  for (std::int64_t v = 0; v < n; ++v) {
-    std::sort(adj_col_idx + adj_row_ptr[v], adj_col_idx + adj_row_ptr[v + 1]);
-  }
+  });
 
-  // Normalized adjacency: the exact row writer the in-memory build uses,
-  // over a view straight into the file pages.
+  // Row pass: sort each adjacency row in place in the map, write its
+  // normalized row with the exact row writer the in-memory build uses,
+  // and draw its features (uniform [-1, 1), one hash stream per node).
   CsrView adj_view;
   adj_view.rows = n;
   adj_view.cols = n;
   adj_view.row_ptr = adj_row_ptr;
   adj_view.col_idx = adj_col_idx;
   adj_view.values = nullptr;
-  std::vector<float> left, right;
-  NormalizedDegreeScalers(adj_view, left, right, config.gamma);
   std::int32_t* norm_col_idx = writer.norm_col_idx();
   float* norm_values = writer.norm_values();
-  for (std::int64_t v = 0; v < n; ++v) {
-    WriteNormalizedRow(adj_view, v, left, right,
-                       norm_col_idx + norm_row_ptr[v],
-                       norm_values + norm_row_ptr[v]);
-  }
-
-  // Features (uniform [-1, 1), one hash stream per node) written straight
-  // into the file, with the pooled stationary vector accumulated in the
-  // same ascending-node order as PooledStationaryVector — bit-identical to
-  // what a from-RAM build would store.
   const std::int64_t dim = config.feature_dim;
   float* features = writer.features();
+  ParallelFor(0, n, RowGrain(dim), [&](std::size_t v0, std::size_t v1) {
+    for (std::size_t v = v0; v < v1; ++v) {
+      std::sort(adj_col_idx + adj_row_ptr[v],
+                adj_col_idx + adj_row_ptr[v + 1]);
+      WriteNormalizedRow(adj_view, v, left, right,
+                         norm_col_idx + norm_row_ptr[v],
+                         norm_values + norm_row_ptr[v]);
+      SplitMix64 rng{NodeStream(config.seed, v, 0xfea70125ULL)};
+      float* row = features + v * dim;
+      for (std::int64_t f = 0; f < dim; ++f) {
+        row[f] = static_cast<float>(rng.NextDouble()) * 2.0f - 1.0f;
+      }
+    }
+  });
+
+  // The pooled stationary vector, accumulated in the same ascending-node
+  // order as PooledStationaryVector: bit-identical to what a from-RAM
+  // build would store.
   float* stationary = writer.stationary();
   std::fill(stationary, stationary + dim, 0.0f);
-  const double denom = static_cast<double>(adj_nnz + n);  // 2m + n
   for (std::int64_t j = 0; j < n; ++j) {
-    SplitMix64 rng{NodeStream(config.seed, j, 0xfea70125ULL)};
-    float* row = features + j * dim;
-    for (std::int64_t f = 0; f < dim; ++f) {
-      row[f] = static_cast<float>(rng.NextDouble()) * 2.0f - 1.0f;
-    }
-    const float vj = static_cast<float>(
-        std::pow(static_cast<double>(degree[j] + 1), 1.0 - config.gamma) /
-        denom);
+    const float vj = weight_of[adj_row_ptr[j + 1] - adj_row_ptr[j]];
+    const float* row = features + j * dim;
     for (std::int64_t f = 0; f < dim; ++f) stationary[f] += vj * row[f];
   }
 

@@ -63,10 +63,9 @@ SyntheticDataset GenerateDataset(const GeneratorConfig& config);
 /// that makes node-adaptive depth matter at scale) and c_u distinct offsets
 /// in [2, n/2), each adding the undirected edge {u, (u+offset) mod n}.
 /// Offsets below n/2 can never collide across nodes (the reverse offset
-/// n-o would exceed n/2), so edges are unique by construction and two
-/// passes over the same per-node hash streams reproduce the exact edge
-/// set — which is what lets the generator stream CSR arrays straight into
-/// the on-disk layout without ever materializing the graph in RAM.
+/// n-o would exceed n/2), so edges are unique by construction: the
+/// generator writes CSR arrays straight into the on-disk layout without
+/// ever building a Graph or deduplicating edges.
 struct ScaledGraphConfig {
   std::int64_t num_nodes = 1'000'000;  ///< >= 8
   std::int32_t feature_dim = 32;
@@ -79,12 +78,17 @@ struct ScaledGraphConfig {
 
 /// Streams a ScaledGraphConfig graph — adjacency, normalized adjacency,
 /// uniform [-1, 1) features and the pooled stationary vector — directly
-/// into the storage::MmapStore on-disk layout at `path`. Only O(n) scalar
-/// arrays (degrees, cursors, degree scalers) live in RAM; every O(m) and
-/// O(n·dim) array is written in place in the mapped file, so multi-million-
-/// node stores build in a few hundred MB of heap. Returns the undirected
-/// edge count m. Deterministic given the seed; throws nai::ValidationError
-/// on invalid configs and nai::IoError on file errors.
+/// into the storage::MmapStore on-disk layout at `path`. The heap holds
+/// O(n) scalar arrays (chord counts, chord-array offsets, in-degrees,
+/// degree scalers) and each node's chord ends with their reverse slots,
+/// 8 bytes per chord (about 33 MB at 2^20 nodes and the default chord
+/// settings). Every CSR array and the features are written in place in
+/// the mapped file. Every per-node pass runs on
+/// runtime::ThreadPool::Default() (pick the pool with ScopedDefaultPool
+/// or SetDefaultThreads); the file is byte-identical for every thread
+/// count. Returns the undirected edge count m. Deterministic given the
+/// seed; throws nai::ValidationError on invalid configs and nai::IoError
+/// on file errors.
 std::int64_t GenerateScaled(const ScaledGraphConfig& config,
                             const std::string& path);
 

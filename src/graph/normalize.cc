@@ -14,10 +14,15 @@ void NormalizedDegreeScalers(CsrView adjacency, std::vector<float>& left,
   left.resize(n);
   right.resize(n);
   for (std::int64_t v = 0; v < n; ++v) {
-    const float dt = static_cast<float>(adjacency.RowNnz(v) + 1);
-    left[v] = std::pow(dt, gamma - 1.0f);
-    right[v] = std::pow(dt, -gamma);
+    DegreeScalers(adjacency.RowNnz(v), gamma, left[v], right[v]);
   }
+}
+
+void DegreeScalers(std::int64_t degree, float gamma, float& left,
+                   float& right) {
+  const float dt = static_cast<float>(degree + 1);
+  left = std::pow(dt, gamma - 1.0f);
+  right = std::pow(dt, -gamma);
 }
 
 void WriteNormalizedRow(CsrView adjacency, std::int64_t v,

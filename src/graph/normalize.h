@@ -24,6 +24,11 @@ Csr NormalizedAdjacency(const Graph& graph, float gamma);
 /// lets SnapshotBuilder copy untouched rows verbatim.
 void NormalizedDegreeScalers(CsrView adjacency, std::vector<float>& left,
                              std::vector<float>& right, float gamma);
+/// The per-node body of NormalizedDegreeScalers for a node with `degree`
+/// neighbors (self-loop excluded). Builders that know the degrees before
+/// the adjacency exists (graph::GenerateScaled) call it directly.
+void DegreeScalers(std::int64_t degree, float gamma, float& left,
+                   float& right);
 inline void NormalizedDegreeScalers(const Csr& adjacency,
                                     std::vector<float>& left,
                                     std::vector<float>& right, float gamma) {

@@ -3,6 +3,7 @@
 #include "src/runtime/error.h"
 
 #include <stdexcept>
+#include <vector>
 
 #include "src/io/serialize.h"
 
@@ -16,22 +17,32 @@ void WriteParams(std::ostream& os,
   for (const nn::Parameter* p : params) WriteMatrix(os, p->value);
 }
 
-void ReadParamsInto(std::istream& is,
-                    const std::vector<nn::Parameter*>& params) {
-  const std::uint64_t count = ReadU64(is);
-  if (count != params.size()) {
-    throw IoError("checkpoint: parameter count mismatch");
+/// Tensors read from a checkpoint but not yet assigned. A load stages
+/// every tensor and commits only after all of them parse, so a load that
+/// throws leaves the model exactly as it was.
+struct StagedLoad {
+  std::vector<nn::Parameter*> targets;
+  std::vector<tensor::Matrix> values;
+
+  /// Reads the next tensor for `p`; ReadMatrix checks it against p's
+  /// shape before allocating it.
+  void Read(std::istream& is, nn::Parameter* p) {
+    values.push_back(ReadMatrix(is, p->value.rows(), p->value.cols()));
+    targets.push_back(p);
   }
-  for (nn::Parameter* p : params) {
-    tensor::Matrix m = ReadMatrix(is);
-    if (!m.SameShape(p->value)) {
-      throw IoError("checkpoint: tensor shape mismatch: stored " +
-                               m.ShapeString() + " vs model " +
-                               p->value.ShapeString());
+  /// Reads one parameter group, as WriteParams wrote it.
+  void ReadParams(std::istream& is, const std::vector<nn::Parameter*>& params) {
+    if (ReadU64(is) != params.size()) {
+      throw IoError("checkpoint: parameter count mismatch");
     }
-    p->value = std::move(m);
+    for (nn::Parameter* p : params) Read(is, p);
   }
-}
+  void Commit() {
+    for (std::size_t i = 0; i < targets.size(); ++i) {
+      targets[i]->value = std::move(values[i]);
+    }
+  }
+};
 
 }  // namespace
 
@@ -49,9 +60,11 @@ void LoadClassifierStack(std::istream& is, core::ClassifierStack& stack) {
   if (depth != stack.depth()) {
     throw IoError("checkpoint: classifier depth mismatch");
   }
+  StagedLoad load;
   for (int l = 1; l <= stack.depth(); ++l) {
-    ReadParamsInto(is, stack.HeadParameters(l));
+    load.ReadParams(is, stack.HeadParameters(l));
   }
+  load.Commit();
 }
 
 void SaveGateStack(std::ostream& os, core::GateStack& gates) {
@@ -69,16 +82,12 @@ void LoadGateStack(std::istream& is, core::GateStack& gates) {
   if (depth != gates.max_depth()) {
     throw IoError("checkpoint: gate depth mismatch");
   }
+  StagedLoad load;
   for (int l = 1; l < gates.max_depth(); ++l) {
-    tensor::Matrix w = ReadMatrix(is);
-    tensor::Matrix b = ReadMatrix(is);
-    if (!w.SameShape(gates.gate_weight(l).value) ||
-        !b.SameShape(gates.gate_bias(l).value)) {
-      throw IoError("checkpoint: gate shape mismatch");
-    }
-    gates.gate_weight(l).value = std::move(w);
-    gates.gate_bias(l).value = std::move(b);
+    load.Read(is, &gates.gate_weight(l));
+    load.Read(is, &gates.gate_bias(l));
   }
+  load.Commit();
 }
 
 void SaveStationaryState(std::ostream& os,
@@ -92,7 +101,7 @@ core::StationaryState LoadStationaryState(std::istream& is,
                                           const graph::Graph& graph) {
   ReadHeader(is, "stationary_state");
   const float gamma = ReadF32(is);
-  tensor::Matrix pooled = ReadMatrix(is);
+  tensor::Matrix pooled = ReadMatrix(is, 1, kAnyCols);
   return core::StationaryState::FromPooled(graph, std::move(pooled), gamma);
 }
 

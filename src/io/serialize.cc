@@ -90,32 +90,22 @@ void WriteMatrix(std::ostream& os, const tensor::Matrix& m) {
   if (m.size() > 0) WriteBytes(os, m.data(), m.size() * sizeof(float));
 }
 
-tensor::Matrix ReadMatrix(std::istream& is) {
-  const std::uint64_t rows = ReadU64(is);
-  const std::uint64_t cols = ReadU64(is);
-  if (rows > (1ull << 32) || cols > (1ull << 24)) {
-    throw IoError("nai::io: implausible matrix shape");
+tensor::Matrix ReadMatrix(std::istream& is, std::size_t rows,
+                          std::size_t cols) {
+  const std::uint64_t stored_rows = ReadU64(is);
+  const std::uint64_t stored_cols = ReadU64(is);
+  const bool cols_ok = cols == kAnyCols ? stored_cols <= kAnyCols
+                                        : stored_cols == cols;
+  if (stored_rows != rows || !cols_ok) {
+    const std::string want_cols =
+        cols == kAnyCols ? std::string("any") : std::to_string(cols);
+    throw IoError("nai::io: stored matrix is " + std::to_string(stored_rows) +
+                  " x " + std::to_string(stored_cols) + ", expected " +
+                  std::to_string(rows) + " x " + want_cols);
   }
-  tensor::Matrix m(rows, cols);
+  tensor::Matrix m(stored_rows, stored_cols);
   if (m.size() > 0) ReadBytes(is, m.data(), m.size() * sizeof(float));
   return m;
-}
-
-void WriteI32Vector(std::ostream& os, const std::vector<std::int32_t>& v) {
-  WriteU64(os, v.size());
-  if (!v.empty()) {
-    WriteBytes(os, v.data(), v.size() * sizeof(std::int32_t));
-  }
-}
-
-std::vector<std::int32_t> ReadI32Vector(std::istream& is) {
-  const std::uint64_t n = ReadU64(is);
-  if (n > (1ull << 32)) {
-    throw IoError("nai::io: implausible vector length");
-  }
-  std::vector<std::int32_t> v(n);
-  if (n > 0) ReadBytes(is, v.data(), n * sizeof(std::int32_t));
-  return v;
 }
 
 }  // namespace nai::io

@@ -5,7 +5,6 @@
 #include <istream>
 #include <ostream>
 #include <string>
-#include <vector>
 
 #include "src/tensor/matrix.h"
 
@@ -39,11 +38,16 @@ float ReadF32(std::istream& is);
 void WriteString(std::ostream& os, const std::string& s);
 std::string ReadString(std::istream& is);
 
-void WriteMatrix(std::ostream& os, const tensor::Matrix& m);
-tensor::Matrix ReadMatrix(std::istream& is);
+/// Widest matrix ReadMatrix accepts when the caller cannot know the width.
+inline constexpr std::size_t kAnyCols = std::size_t{1} << 24;
 
-void WriteI32Vector(std::ostream& os, const std::vector<std::int32_t>& v);
-std::vector<std::int32_t> ReadI32Vector(std::istream& is);
+void WriteMatrix(std::ostream& os, const tensor::Matrix& m);
+/// Reads a matrix whose header must claim exactly `rows` x `cols`, or
+/// `rows` x (at most kAnyCols) when `cols` is kAnyCols. The claimed shape
+/// is checked before anything is allocated, so a corrupt header cannot
+/// ask for more memory than the caller expects.
+tensor::Matrix ReadMatrix(std::istream& is, std::size_t rows,
+                          std::size_t cols);
 
 }  // namespace nai::io
 

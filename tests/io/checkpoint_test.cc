@@ -4,6 +4,7 @@
 
 #include "gtest/gtest.h"
 #include "src/core/inference.h"
+#include "src/runtime/error.h"
 #include "src/storage/mem_store.h"
 #include "src/tensor/ops.h"
 #include "tests/core/core_fixtures.h"
@@ -53,6 +54,33 @@ TEST(CheckpointTest, ClassifierShapeMismatchRejected) {
   other.hidden_dims = {32};  // different classifier width
   core::ClassifierStack wrong(other, 1);
   EXPECT_THROW(LoadClassifierStack(ss, wrong), std::runtime_error);
+}
+
+TEST(CheckpointTest, LoadClassifierStackIsAllOrNothing) {
+  // A stream cut inside the last head must leave every head as it was,
+  // bit for bit: nothing is assigned until every tensor has parsed.
+  auto w = MakeSmallWorld(3);
+  std::stringstream saved;
+  SaveClassifierStack(saved, *w.classifiers);
+  std::string bytes = saved.str();
+  bytes.resize(bytes.size() - 8);
+  std::stringstream truncated(bytes);
+
+  core::ClassifierStack target(w.config, 999);
+  std::vector<tensor::Matrix> before;
+  for (int l = 1; l <= 3; ++l) {
+    for (const nn::Parameter* p : target.HeadParameters(l)) {
+      before.push_back(p->value);
+    }
+  }
+  EXPECT_THROW(LoadClassifierStack(truncated, target), IoError);
+  std::size_t i = 0;
+  for (int l = 1; l <= 3; ++l) {
+    for (const nn::Parameter* p : target.HeadParameters(l)) {
+      EXPECT_EQ(p->value.CountDifferences(before[i++], 0.0f), 0u)
+          << "head " << l;
+    }
+  }
 }
 
 TEST(CheckpointTest, GateStackRoundTrip) {

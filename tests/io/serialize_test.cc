@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "gtest/gtest.h"
+#include "src/runtime/error.h"
 #include "tests/test_util.h"
 
 namespace nai::io {
@@ -27,7 +28,7 @@ TEST(SerializeTest, MatrixRoundTrip) {
   const tensor::Matrix m = nai::testing::RandomMatrix(7, 5, 42);
   std::stringstream ss;
   WriteMatrix(ss, m);
-  const tensor::Matrix back = ReadMatrix(ss);
+  const tensor::Matrix back = ReadMatrix(ss, 7, 5);
   EXPECT_EQ(m.CountDifferences(back, 0.0f), 0u);
 }
 
@@ -35,16 +36,9 @@ TEST(SerializeTest, EmptyMatrixRoundTrip) {
   tensor::Matrix m;
   std::stringstream ss;
   WriteMatrix(ss, m);
-  const tensor::Matrix back = ReadMatrix(ss);
+  const tensor::Matrix back = ReadMatrix(ss, 0, 0);
   EXPECT_EQ(back.rows(), 0u);
   EXPECT_EQ(back.cols(), 0u);
-}
-
-TEST(SerializeTest, VectorRoundTrip) {
-  const std::vector<std::int32_t> v = {5, -1, 0, 1 << 20};
-  std::stringstream ss;
-  WriteI32Vector(ss, v);
-  EXPECT_EQ(ReadI32Vector(ss), v);
 }
 
 TEST(SerializeTest, HeaderTagChecked) {
@@ -65,7 +59,7 @@ TEST(SerializeTest, TruncatedStreamThrows) {
   std::string data = ss.str();
   data.resize(data.size() / 2);
   std::stringstream truncated(data);
-  EXPECT_THROW(ReadMatrix(truncated), std::runtime_error);
+  EXPECT_THROW(ReadMatrix(truncated, 4, 4), std::runtime_error);
 }
 
 TEST(SerializeTest, ScalarExtremesRoundTrip) {
@@ -84,10 +78,29 @@ TEST(SerializeTest, ScalarExtremesRoundTrip) {
   EXPECT_FLOAT_EQ(ReadF32(ss), std::numeric_limits<float>::max());
 }
 
-TEST(SerializeTest, EmptyVectorRoundTrip) {
-  std::stringstream ss;
-  WriteI32Vector(ss, {});
-  EXPECT_TRUE(ReadI32Vector(ss).empty());
+TEST(SerializeTest, ClaimedShapeIsCheckedBeforeAllocating) {
+  // 24 bytes whose header claims 2^30 x 16 floats (64 GiB): the reader
+  // must refuse the claim, not try to allocate it.
+  std::stringstream huge;
+  WriteU64(huge, std::uint64_t{1} << 30);
+  WriteU64(huge, 16);
+  WriteF32(huge, 1.0f);
+  WriteF32(huge, 2.0f);
+  ASSERT_EQ(huge.str().size(), 24u);
+  EXPECT_THROW(ReadMatrix(huge, 4, 16), IoError);
+
+  // A width the caller cannot know (kAnyCols) still pins the rows and
+  // caps the width.
+  std::stringstream wide;
+  WriteU64(wide, 1);
+  WriteU64(wide, kAnyCols + 1);
+  EXPECT_THROW(ReadMatrix(wide, 1, kAnyCols), IoError);
+  std::stringstream tall;
+  WriteMatrix(tall, nai::testing::RandomMatrix(2, 3, 5));
+  EXPECT_THROW(ReadMatrix(tall, 1, kAnyCols), IoError);
+  std::stringstream row;
+  WriteMatrix(row, nai::testing::RandomMatrix(1, 3, 5));
+  EXPECT_EQ(ReadMatrix(row, 1, kAnyCols).cols(), 3u);
 }
 
 TEST(SerializeTest, HeaderAcceptsMatchingTag) {

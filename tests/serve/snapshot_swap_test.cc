@@ -5,7 +5,9 @@
 // stay safe (runs under TSan in scripts/check.sh).
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <memory>
 #include <stdexcept>
@@ -235,6 +237,111 @@ TEST(SnapshotSwapTest, ConcurrentQueriesAcrossSwapsStaySafe) {
   EXPECT_EQ(stats.snapshot_swaps, kSwaps);
   EXPECT_GT(served.load(), 0);
   EXPECT_EQ(stats.rejected, 0);
+}
+
+// Shutdown under load: three clients keep submitting through all three
+// entry points while an ApplyDeltas is in flight, and Shutdown lands from
+// the main thread. Every outcome must be defined: each future resolves
+// (served or refused), each callback fires exactly once, the apply either
+// completes or fails its future, and the counters balance. Runs under
+// TSan in scripts/check.sh.
+TEST(SnapshotSwapTest, ShutdownUnderLoadResolvesEverything) {
+  using namespace std::chrono_literals;
+  SmallWorld& w = World();
+  auto base = BaseSnapshot();
+  core::ShardedNaiEngine engine(base, graph::MakeShards(base->adj(), 2),
+                                *w.classifiers, nullptr);
+  ServingEngine server(engine, MakePolicies());
+  const auto num_nodes = static_cast<std::int32_t>(w.data.graph.num_nodes());
+
+  constexpr int kMaxPerClient = 4000;
+  std::atomic<int> attempts{0};
+  std::atomic<bool> shut_down{false};
+  std::vector<std::future<Response>> submit_futures;
+  std::vector<std::future<Response>> try_futures;
+  int try_refused = 0;
+  std::vector<std::shared_ptr<std::atomic<int>>> fired;
+  std::atomic<int> callbacks_served{0};
+  int callbacks_refused = 0;
+
+  // Each client submits until Shutdown has returned (or its cap), then
+  // once more, which must be refused.
+  auto client = [&](int c, const std::function<void(std::int32_t)>& submit) {
+    std::int32_t v = 37 * (c + 1);
+    for (int i = 0; i < kMaxPerClient && !shut_down.load(); ++i) {
+      submit(v % num_nodes);
+      attempts.fetch_add(1);
+      v += 13;
+    }
+    while (!shut_down.load()) std::this_thread::yield();
+    submit(v % num_nodes);
+    attempts.fetch_add(1);
+  };
+  std::vector<std::thread> clients;
+  clients.emplace_back(client, 0, [&](std::int32_t node) {
+    submit_futures.push_back(server.Submit(node, QosClass::kSpeedFirst));
+  });
+  clients.emplace_back(client, 1, [&](std::int32_t node) {
+    auto f = server.TrySubmit(node, QosClass::kAccuracyFirst);
+    if (f.has_value()) {
+      try_futures.push_back(std::move(*f));
+    } else {
+      ++try_refused;
+    }
+  });
+  clients.emplace_back(client, 2, [&](std::int32_t node) {
+    auto count = std::make_shared<std::atomic<int>>(0);
+    fired.push_back(count);
+    const bool accepted = server.SubmitWithCallback(
+        node, QosClass::kSpeedFirst,
+        [count, &callbacks_served](const Response& r) {
+          count->fetch_add(1);
+          if (r.served) callbacks_served.fetch_add(1);
+        });
+    if (!accepted) ++callbacks_refused;
+  });
+
+  while (attempts.load() < 300) std::this_thread::yield();
+  std::future<DeltaApplyReport> apply =
+      server.ApplyDeltas(ChurnDelta(*engine.PinState()->snapshot));
+  server.Shutdown();
+  shut_down.store(true);
+  for (std::thread& t : clients) t.join();
+
+  // The apply was accepted before Shutdown, so Shutdown joined it: its
+  // future is ready and holds either the new version or an error.
+  ASSERT_EQ(apply.wait_for(10s), std::future_status::ready);
+  bool applied = false;
+  try {
+    applied = apply.get().version == 1u;
+  } catch (const std::exception&) {
+  }
+  EXPECT_TRUE(applied || engine.version() == 0u);
+
+  std::int64_t served = callbacks_served.load();
+  std::int64_t unserved = try_refused;
+  for (auto* futures : {&submit_futures, &try_futures}) {
+    for (std::future<Response>& f : *futures) {
+      ASSERT_EQ(f.wait_for(10s), std::future_status::ready);
+      (f.get().served ? served : unserved) += 1;
+    }
+  }
+  for (const auto& count : fired) EXPECT_EQ(count->load(), 1);
+  unserved += static_cast<std::int64_t>(fired.size()) - callbacks_served.load();
+  EXPECT_EQ(served + unserved, attempts.load());
+  // The last submission of every client came after Shutdown.
+  EXPECT_GE(unserved, 3);
+
+  // Accounting identity: every admitted request (cache hits included) is
+  // either served, dropped as expired, or failed by the engine, and every
+  // attempt is admitted or rejected.
+  const ServingStatsSnapshot stats = server.Stats();
+  EXPECT_EQ(stats.queue_depth, 0u);
+  EXPECT_EQ(stats.submitted,
+            stats.completed + stats.dropped + stats.engine_errors);
+  EXPECT_EQ(stats.submitted + stats.rejected, attempts.load());
+  EXPECT_EQ(stats.completed, served);
+  EXPECT_EQ(stats.rejected + stats.dropped + stats.engine_errors, unserved);
 }
 
 }  // namespace

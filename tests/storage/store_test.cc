@@ -20,6 +20,7 @@
 #include "src/graph/generators.h"
 #include "src/graph/normalize.h"
 #include "src/runtime/error.h"
+#include "src/runtime/thread_pool.h"
 #include "src/storage/mem_store.h"
 
 namespace nai::storage {
@@ -369,6 +370,35 @@ TEST(GenerateScaledTest, StreamedStoreMatchesFromRamRebuild) {
   for (std::size_t f = 0; f < pooled.cols(); ++f) {
     ASSERT_EQ(mapped.stationary_pooled()->data()[f], pooled.data()[f])
         << "stationary " << f;
+  }
+}
+
+TEST(GenerateScaledTest, StoreBytesMatchGoldenAtEveryThreadCount) {
+  // The whole-file checksum of this config's store as the serial generator
+  // wrote it. Every pool must write the same bytes: the row sort hides the
+  // order of the parallel scatter, and the stationary vector keeps its
+  // ascending-node sum.
+  constexpr std::uint64_t kGoldenChecksum = 0xb4b523da0c99ff3eULL;
+  constexpr std::size_t kGoldenBytes = 11535776;
+  graph::ScaledGraphConfig cfg;
+  cfg.num_nodes = std::int64_t{1} << 16;
+  cfg.feature_dim = 8;
+  cfg.seed = 11;
+  // Every node loop of the generator costs at least one scalar op per
+  // node, so even at grain 1 its 2^16 nodes split into more than one chunk
+  // and each loop runs on more than one thread of a 2- or 4-thread pool.
+  ASSERT_GT(runtime::ThreadPool::PlannedWorkers(
+                static_cast<std::size_t>(cfg.num_nodes), /*grain=*/1, 2),
+            1u);
+  for (const int threads : {1, 2, 4}) {
+    runtime::ThreadPool pool(threads);
+    runtime::ScopedDefaultPool scoped(pool);
+    PathGuard file{TempPath("golden")};
+    graph::GenerateScaled(cfg, file.path);
+    const std::vector<unsigned char> bytes = ReadBytes(file.path);
+    ASSERT_EQ(bytes.size(), kGoldenBytes) << threads << " threads";
+    EXPECT_EQ(StoreChecksum(bytes.data(), bytes.size()), kGoldenChecksum)
+        << threads << " threads";
   }
 }
 
